@@ -47,7 +47,7 @@ from .evaluation import (
     rank_correlation_report,
     spearman,
 )
-from .generators import SynthConfig, gen_erdos_renyi, gen_preferential, generate
+from .generators import gen_erdos_renyi, gen_preferential
 from .graph import (
     DirectedGraph,
     GraphStats,
@@ -55,7 +55,6 @@ from .graph import (
     ParseError,
     UnknownNodeError,
     graph_stats,
-    in_neighbors,
     parse_edge_list,
     to_csv,
     to_json,
@@ -77,7 +76,6 @@ __all__ = [
     "Rank",
     "RankCorrelationMatrix",
     "SelectionResult",
-    "SynthConfig",
     "UnknownNodeError",
     "betweenness_centrality",
     "centrality_rank",
@@ -90,11 +88,9 @@ __all__ = [
     "eigenvector_centrality",
     "gen_erdos_renyi",
     "gen_preferential",
-    "generate",
     "graph_stats",
     "greedy_rank_vector",
     "greedy_select",
-    "in_neighbors",
     "node_coverage",
     "pareto_point",
     "parse_edge_list",

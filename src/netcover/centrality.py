@@ -80,13 +80,12 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityScores:
     For each node v, sums sigma_st(v) / sigma_st over all ordered pairs
     (s, t) with s != v != t, where sigma_st counts shortest directed paths
     and sigma_st(v) those passing through v as an interior node.  Pairs with
-    no path contribute nothing.  Sources are processed in sorted node order,
-    so the floating-point accumulation is reproducible.
+    no path contribute nothing.  Sources are processed in sorted node order
+    and neighbors in ascending ``out_adj`` order, so the floating-point
+    accumulation is reproducible.
     """
-    nodes = g.nodes
-    index = {v: i for i, v in enumerate(nodes)}
-    adj = [sorted(index[w] for w in g.out_neighbors(v)) for v in nodes]
-    n = len(nodes)
+    adj = g.out_adj
+    n = g.n
     score = [0.0] * n
 
     for s in range(n):
@@ -117,9 +116,7 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityScores:
             if w != s:
                 score[w] += delta[w]
 
-    return CentralityScores(
-        measure="betweenness", scores={v: score[index[v]] for v in nodes}
-    )
+    return CentralityScores(measure="betweenness", scores=dict(zip(g.nodes, score)))
 
 
 def closeness_centrality(g: DirectedGraph) -> CentralityScores:
@@ -128,14 +125,11 @@ def closeness_centrality(g: DirectedGraph) -> CentralityScores:
     With r nodes reachable from v (excluding v) at total distance D:
     ``closeness(v) = (r / (n - 1)) * (r / D)``; nodes reaching nothing score 0.
     """
-    nodes = g.nodes
-    index = {v: i for i, v in enumerate(nodes)}
-    adj = [sorted(index[w] for w in g.out_neighbors(v)) for v in nodes]
-    n = len(nodes)
-    scores: dict[str, float] = {}
-    for v in nodes:
+    adj = g.out_adj
+    n = g.n
+    scores = [0.0] * n
+    for src in range(n):
         dist = [-1] * n
-        src = index[v]
         dist[src] = 0
         queue = deque([src])
         reached = 0
@@ -149,21 +143,19 @@ def closeness_centrality(g: DirectedGraph) -> CentralityScores:
                     reached += 1
                     total += du + 1
                     queue.append(w)
-        if reached == 0:
-            scores[v] = 0.0
-        else:
-            scores[v] = (reached / (n - 1)) * (reached / total)
-    return CentralityScores(measure="closeness", scores=scores)
+        if reached:
+            scores[src] = (reached / (n - 1)) * (reached / total)
+    return CentralityScores(measure="closeness", scores=dict(zip(g.nodes, scores)))
 
 
 def _is_acyclic(g: DirectedGraph) -> bool:
-    indeg = {v: g.in_degree(v) for v in g.nodes}
-    queue = deque(v for v in g.nodes if indeg[v] == 0)
+    indeg = [g.in_degree(v) for v in g.nodes]
+    queue = deque(i for i, d in enumerate(indeg) if d == 0)
     removed = 0
     while queue:
         v = queue.popleft()
         removed += 1
-        for w in g.out_neighbors(v):
+        for w in g.out_adj[v]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
@@ -180,7 +172,9 @@ def eigenvector_centrality(
     the shifted operator A^T + I, which leaves the eigenvector unchanged but
     converges even on periodic structures (a plain iteration oscillates
     forever on, e.g., a bidirectional path).  Convergence is tol on the L2
-    difference of successive normalized iterates, capped at max_iter.
+    difference of successive normalized iterates, capped at max_iter; when
+    the cap is hit the last iterate is returned with ``warning`` naming the
+    iteration count and the residual.
 
     On acyclic graphs the true iteration collapses to the zero vector (the
     adjacency matrix is nilpotent), so the result falls back to scores
@@ -189,34 +183,38 @@ def eigenvector_centrality(
     """
     if g.m == 0:
         raise ValueError("eigenvector undefined: graph has no edges")
-    nodes = g.nodes
-    n = len(nodes)
-    index = {v: i for i, v in enumerate(nodes)}
+    n = g.n
 
     if _is_acyclic(g):
-        vec = np.array([g.in_degree(v) for v in nodes], dtype=float)
+        vec = np.array([g.in_degree(v) for v in g.nodes], dtype=float)
         vec /= np.linalg.norm(vec)
         return CentralityScores(
             measure="eigenvector",
-            scores={v: float(vec[index[v]]) for v in nodes},
+            scores=dict(zip(g.nodes, vec.tolist())),
             warning="acyclic graph: power iteration collapses to zero; "
             "scores proportional to in-degree",
         )
 
-    a = np.zeros((n, n), dtype=float)
-    for s, t in g.edges:
-        a[index[s], index[t]] = 1.0
-    at = a.T
+    # Edge index arrays: (A^T x)[t] sums x[s] over the edges s -> t.
+    src = np.repeat(np.arange(n), [len(row) for row in g.out_adj])
+    dst = np.fromiter((t for row in g.out_adj for t in row), dtype=np.intp, count=g.m)
 
     x = np.full(n, 1.0 / np.sqrt(n))
+    residual = float("inf")
+    warning = None
     for _ in range(max_iter):
-        y = at @ x + x
+        y = np.bincount(dst, weights=x[src], minlength=n) + x
         y /= np.linalg.norm(y)
-        if np.linalg.norm(y - x) <= tol:
-            x = y
-            break
+        residual = float(np.linalg.norm(y - x))
         x = y
+        if residual <= tol:
+            break
+    else:
+        warning = (
+            f"power iteration stopped at max_iter={max_iter} without converging "
+            f"(residual {residual:.3g} > tol {tol:.3g})"
+        )
 
     return CentralityScores(
-        measure="eigenvector", scores={v: float(x[index[v]]) for v in nodes}
+        measure="eigenvector", scores=dict(zip(g.nodes, x.tolist())), warning=warning
     )

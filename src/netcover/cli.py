@@ -4,21 +4,15 @@ Subcommands: ``stats``, ``select``, ``evaluate``, ``correlate``, ``gen``.
 Exit codes: 0 success, 2 usage/input errors, 3 internal invariant
 violations.  Diagnostics go to stderr; data goes to stdout or ``--out``.
 Identical invocations on identical inputs emit byte-identical output.
-
-The ``NETCOVER_THREADS`` environment variable caps internal parallelism;
-every computation in this package is currently sequential (and therefore
-deterministic), so any cap >= 1 is honored as-is.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from . import render
-from .centrality import Rank
 from .coverage import centrality_rank_select, greedy_select
 from .evaluation import (
     METHODS,
@@ -36,21 +30,6 @@ _MODEL_ALIASES = {
     "pa": "preferential_attachment",
     "preferential_attachment": "preferential_attachment",
 }
-
-
-def thread_cap() -> int:
-    """Parse NETCOVER_THREADS; 0 means uncapped.  Invalid values are ignored."""
-    raw = os.environ.get("NETCOVER_THREADS")
-    if raw is None:
-        return 0
-    try:
-        cap = int(raw)
-        if cap < 1:
-            raise ValueError
-    except ValueError:
-        print(f"warning: ignoring invalid NETCOVER_THREADS={raw!r}", file=sys.stderr)
-        return 0
-    return cap
 
 
 def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
@@ -144,16 +123,6 @@ def _cmd_stats(args: argparse.Namespace) -> str:
     return render.render_stats(graph_stats(g), args.format)
 
 
-def _rank_prefix_to_target(g: DirectedGraph, rank: Rank, target: float):
-    if not 0.0 < target <= 1.0:
-        raise ValueError(f"target must be in (0, 1], got {target}")
-    sel = centrality_rank_select(g, rank, g.n)
-    for i, cov in enumerate(sel.cumulative):
-        if cov >= target:
-            return sel.truncated(i + 1)
-    return sel
-
-
 def _cmd_select(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph, args.input_format)
     if args.method == "greedy":
@@ -168,7 +137,7 @@ def _cmd_select(args: argparse.Namespace) -> str:
         if args.k is not None:
             sel = centrality_rank_select(g, rank, args.k)
         else:
-            sel = _rank_prefix_to_target(g, rank, args.target)
+            sel = centrality_rank_select(g, rank, g.n).reaching(args.target)
     return render.render_selection(sel, args.format)
 
 
@@ -209,7 +178,6 @@ def _cmd_gen(args: argparse.Namespace) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    thread_cap()
     try:
         text = args.handler(args)
         _emit(text, getattr(args, "out", None))

@@ -54,6 +54,15 @@ class SelectionResult:
             self, picks=self.picks[:k], cumulative=self.cumulative[:k], target=None
         )
 
+    def reaching(self, target: float) -> "SelectionResult":
+        """Shortest prefix whose coverage reaches ``target`` (all picks if none does)."""
+        if not 0.0 < target <= 1.0:
+            raise ValueError(f"target must be in (0, 1], got {target}")
+        k = next(
+            (i + 1 for i, c in enumerate(self.cumulative) if c >= target), len(self.picks)
+        )
+        return self.truncated(k)
+
 
 def node_coverage(g: DirectedGraph, v: str) -> frozenset[str]:
     """The node itself plus everyone with an edge into it."""
@@ -119,7 +128,12 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
 
 
 def centrality_rank_select(g: DirectedGraph, rank: Rank, k: int) -> SelectionResult:
-    """Take the first ``k`` nodes of a rank, with coverage after each pick."""
+    """Take the first ``k`` nodes of a rank, with coverage after each pick.
+
+    This is the one rank-prefix coverage routine: evaluation tables read its
+    ``cumulative`` curve, and :meth:`SelectionResult.reaching` cuts it at a
+    coverage target.
+    """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
     if set(rank.order) != set(g.nodes):

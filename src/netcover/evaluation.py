@@ -21,7 +21,7 @@ import numpy as np
 
 from . import centrality as _centrality
 from .centrality import CentralityScores, Rank, to_rank
-from .coverage import greedy_select, node_coverage
+from .coverage import centrality_rank_select, greedy_select
 from .graph import DirectedGraph
 
 #: Table column order; greedy is compared against the first four.
@@ -121,7 +121,7 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
 
     columns: dict[str, tuple[float, ...]] = {}
     for method in METHODS[:-1]:
-        prefix = _prefix_coverage(g, centrality_rank(g, method).order)
+        prefix = centrality_rank_select(g, centrality_rank(g, method), ks[-1]).cumulative
         columns[method] = tuple(prefix[k - 1] for k in ks)
 
     greedy = greedy_select(g, target_coverage=1.0)
@@ -130,15 +130,6 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
     columns["greedy"] = tuple(greedy_curve[min(k - 1, last)] for k in ks)
 
     return CoverageTable(ks=ks, methods=METHODS, columns=columns)
-
-
-def _prefix_coverage(g: DirectedGraph, order: Sequence[str]) -> list[float]:
-    covered: set[str] = set()
-    out: list[float] = []
-    for v in order:
-        covered |= node_coverage(g, v)
-        out.append(len(covered) / g.n)
-    return out
 
 
 # ---- Spearman rank correlation ----------------------------------------------
@@ -247,14 +238,13 @@ def pareto_point(
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if method == "greedy":
-        curve = greedy_select(g, target_coverage=1.0).cumulative
+        sel = greedy_select(g, target_coverage=1.0)
     elif method in METHODS[:-1]:
-        curve = _prefix_coverage(g, centrality_rank(g, method).order)
+        sel = centrality_rank_select(g, centrality_rank(g, method), g.n)
     else:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    for i, c in enumerate(curve):
-        if c >= threshold:
-            return ParetoPoint(
-                method=method, k=i + 1, node_fraction=(i + 1) / g.n, coverage=c
-            )
-    raise AssertionError("unreachable: full coverage always reaches the threshold")
+    point = sel.reaching(threshold)
+    k = len(point.picks)
+    return ParetoPoint(
+        method=method, k=k, node_fraction=k / g.n, coverage=point.cumulative[-1]
+    )

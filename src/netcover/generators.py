@@ -18,74 +18,41 @@ The draw streams are part of the contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .graph import DirectedGraph
 
-MODELS = ("erdos_renyi", "preferential_attachment")
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Generator configuration; equal configs generate identical graphs."""
-
-    model: str
-    n: int
-    seed: int
-    p: float | None = None
-    edges_per_node: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.model == "erdos_renyi":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError(f"erdos_renyi needs p in [0, 1], got {self.p}")
-        else:
-            if self.edges_per_node is None or self.edges_per_node < 1:
-                raise ValueError(
-                    f"preferential_attachment needs edges_per_node >= 1, "
-                    f"got {self.edges_per_node}"
-                )
-
-
-def generate(config: SynthConfig) -> DirectedGraph:
-    if config.model == "erdos_renyi":
-        assert config.p is not None
-        return gen_erdos_renyi(config.n, config.p, config.seed)
-    assert config.edges_per_node is not None
-    return gen_preferential(config.n, config.edges_per_node, config.seed)
-
 
 def _labels(n: int) -> list[str]:
+    """Zero-padded labels for ``n`` nodes; both models need n >= 2."""
+    if n < 2:
+        raise ValueError(f"n must be >= 2, got {n}")
     width = len(str(n - 1))
     return [f"{i:0{width}d}" for i in range(n)]
 
 
 def gen_erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
     """Each ordered pair (u, v), u != v, is an edge independently with prob p."""
-    SynthConfig(model="erdos_renyi", n=n, p=p, seed=seed)
-    rng = np.random.default_rng(seed)
-    draws = rng.random((n, n))
     labels = _labels(n)
-    edges = [
-        (labels[i], labels[j])
-        for i in range(n)
-        for j in range(n)
-        if i != j and draws[i, j] < p
-    ]
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"erdos_renyi needs p in [0, 1], got {p}")
+    rng = np.random.default_rng(seed)
+    edges: list[tuple[str, str]] = []
+    for i, source in enumerate(labels):
+        row = rng.random(n)  # row i of the row-major n x n draw stream
+        row[i] = np.inf  # the diagonal draw is discarded
+        edges.extend((source, labels[j]) for j in np.flatnonzero(row < p).tolist())
     return DirectedGraph.from_edges(edges, nodes=labels)
 
 
 def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
     """Sequential arrivals; new nodes point at in-degree-popular targets."""
-    SynthConfig(model="preferential_attachment", n=n, edges_per_node=edges_per_node, seed=seed)
-    rng = np.random.default_rng(seed)
     labels = _labels(n)
+    if edges_per_node < 1:
+        raise ValueError(
+            f"preferential_attachment needs edges_per_node >= 1, got {edges_per_node}"
+        )
+    rng = np.random.default_rng(seed)
     indeg = np.zeros(n, dtype=float)
     edges: list[tuple[str, str]] = []
     for i in range(1, n):

@@ -1,10 +1,13 @@
 """Immutable directed graphs, text ingestion, and whole-graph statistics.
 
-The graph is stored as a sorted node tuple plus a sorted edge tuple, with
-in- and out-adjacency maps derived at construction.  Node labels are opaque
-non-empty strings; every ordering decision downstream (rank tie-breaks,
-serialized output, scan order) falls back on plain lexicographic label
-comparison, so graphs built from the same data behave identically run to run.
+The graph is stored as a sorted node tuple plus a sorted edge tuple.  At
+construction it also derives, once, the integer adjacency every traversal
+reads (``index``: label -> position in ``nodes``; ``out_adj``: each node's
+out-neighbor positions, ascending) and each node's in-neighbor label set,
+which is the coverage set.  Node labels are opaque non-empty strings; every
+ordering decision downstream (rank tie-breaks, serialized output, scan order)
+falls back on plain lexicographic label comparison, so graphs built from the
+same data behave identically run to run.
 
 Ingestion dedups edges and drops self-loops, counting both into an
 :class:`IngestReport` carried on the graph (excluded from equality).  A node
@@ -60,28 +63,31 @@ class DirectedGraph:
     nodes: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
     ingest: IngestReport = field(default_factory=IngestReport, compare=False)
-    _out: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    out_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _in: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        node_set = set(self.nodes)
-        if len(node_set) != len(self.nodes) or list(self.nodes) != sorted(self.nodes):
+        index = {v: i for i, v in enumerate(self.nodes)}
+        if len(index) != len(self.nodes) or list(self.nodes) != sorted(self.nodes):
             raise ValueError("nodes must be sorted and unique; use from_edges()")
         if any(not isinstance(v, str) or not v for v in self.nodes):
             raise ValueError("node labels must be non-empty strings")
         if list(self.edges) != sorted(set(self.edges)):
             raise ValueError("edges must be sorted and unique; use from_edges()")
-        out: dict[str, set[str]] = {v: set() for v in self.nodes}
-        incoming: dict[str, set[str]] = {v: set() for v in self.nodes}
+        out: list[list[int]] = [[] for _ in self.nodes]
+        incoming: list[list[str]] = [[] for _ in self.nodes]
         for s, t in self.edges:
             if s == t:
                 raise ValueError(f"self-loop {s!r}; use from_edges()")
-            if s not in node_set or t not in node_set:
+            i, j = index.get(s), index.get(t)
+            if i is None or j is None:
                 raise ValueError(f"edge ({s!r}, {t!r}) has an endpoint outside nodes")
-            out[s].add(t)
-            incoming[t].add(s)
-        object.__setattr__(self, "_out", {v: frozenset(out[v]) for v in self.nodes})
-        object.__setattr__(self, "_in", {v: frozenset(incoming[v]) for v in self.nodes})
+            out[i].append(j)  # edges are sorted, so each row comes out ascending
+            incoming[j].append(s)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "out_adj", tuple(map(tuple, out)))
+        object.__setattr__(self, "_in", dict(zip(self.nodes, map(frozenset, incoming))))
 
     @classmethod
     def from_edges(
@@ -134,7 +140,13 @@ class DirectedGraph:
     # ---- adjacency --------------------------------------------------------
 
     def has_node(self, v: str) -> bool:
-        return v in self._out
+        return v in self.index
+
+    def _position(self, v: str) -> int:
+        try:
+            return self.index[v]
+        except KeyError:
+            raise UnknownNodeError(v) from None
 
     def in_neighbors(self, v: str) -> frozenset[str]:
         """Nodes with an edge into ``v``."""
@@ -144,22 +156,14 @@ class DirectedGraph:
             raise UnknownNodeError(v) from None
 
     def out_neighbors(self, v: str) -> frozenset[str]:
-        """Nodes ``v`` has an edge to."""
-        try:
-            return self._out[v]
-        except KeyError:
-            raise UnknownNodeError(v) from None
+        """Nodes ``v`` has an edge to (built on demand from ``out_adj``)."""
+        return frozenset(self.nodes[j] for j in self.out_adj[self._position(v)])
 
     def in_degree(self, v: str) -> int:
         return len(self.in_neighbors(v))
 
     def out_degree(self, v: str) -> int:
-        return len(self.out_neighbors(v))
-
-
-def in_neighbors(g: DirectedGraph, v: str) -> frozenset[str]:
-    """Module-level alias for :meth:`DirectedGraph.in_neighbors`."""
-    return g.in_neighbors(v)
+        return len(self.out_adj[self._position(v)])
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from netcover import (
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
+    gen_erdos_renyi,
     to_rank,
 )
 from netcover.centrality import CentralityScores
@@ -185,6 +186,41 @@ def test_eigenvector_residual_on_strongly_connected():
         x = np.array([s.scores[v] for v in g.nodes])
         lam = x @ (a.T @ x)
         assert np.linalg.norm(a.T @ x - lam * x) <= 1e-8
+
+
+def test_eigenvector_reports_non_convergence():
+    s = eigenvector_centrality(bipath("abc"), max_iter=1)
+    assert s.warning is not None
+    assert "max_iter=1" in s.warning and "residual" in s.warning
+    assert set(s.scores) == {"a", "b", "c"}
+
+
+# --- cross-check against networkx on a medium graph ---
+
+
+def test_networkx_cross_check_medium_er():
+    nx = pytest.importorskip("networkx")
+    g = gen_erdos_renyi(300, 0.03, 17)
+    ng = nx.DiGraph()
+    ng.add_nodes_from(g.nodes)
+    ng.add_edges_from(g.edges)
+    assert nx.is_strongly_connected(ng)  # so the dominant eigenvector is unique
+
+    ours = betweenness_centrality(g).scores
+    ref = nx.betweenness_centrality(ng, normalized=False)
+    for v in g.nodes:
+        assert ours[v] == pytest.approx(ref[v], rel=1e-12, abs=1e-9)
+
+    ours = closeness_centrality(g).scores
+    ref = nx.closeness_centrality(ng.reverse())
+    for v in g.nodes:
+        assert ours[v] == pytest.approx(ref[v], rel=1e-12, abs=1e-12)
+
+    eig = eigenvector_centrality(g)
+    assert eig.warning is None
+    ref = nx.eigenvector_centrality_numpy(ng)
+    for v in g.nodes:
+        assert eig.scores[v] == pytest.approx(ref[v], abs=1e-9)
 
 
 # --- cross-measure properties ---

@@ -282,17 +282,6 @@ def test_input_format_override(tmp_path, capsys):
     assert out.startswith("n=3")
 
 
-def test_thread_cap_env(monkeypatch, two_node, capsys):
-    monkeypatch.setenv("NETCOVER_THREADS", "4")
-    code, _, err = run(["stats", two_node], capsys)
-    assert code == 0
-    assert err == ""
-    monkeypatch.setenv("NETCOVER_THREADS", "banana")
-    code, _, err = run(["stats", two_node], capsys)
-    assert code == 0
-    assert "NETCOVER_THREADS" in err
-
-
 def test_internal_error_exit_3(monkeypatch, two_node, capsys):
     import netcover.cli as cli_mod
 

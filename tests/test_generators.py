@@ -3,40 +3,26 @@ import math
 import pytest
 
 from netcover import (
-    SynthConfig,
     gen_erdos_renyi,
     gen_preferential,
-    generate,
     to_json,
 )
 
 
-# --- config validation ---
+# --- parameter validation ---
 
 
-def test_config_requires_model_parameter():
-    with pytest.raises(ValueError):
-        SynthConfig(model="erdos_renyi", n=10, seed=1)
-    with pytest.raises(ValueError):
-        SynthConfig(model="preferential_attachment", n=10, seed=1)
-
-
-def test_config_validates_ranges():
-    with pytest.raises(ValueError):
-        SynthConfig(model="erdos_renyi", n=1, seed=1, p=0.5)
-    with pytest.raises(ValueError):
-        SynthConfig(model="erdos_renyi", n=10, seed=1, p=1.5)
-    with pytest.raises(ValueError):
-        SynthConfig(model="preferential_attachment", n=10, seed=1, edges_per_node=0)
-    with pytest.raises(ValueError):
-        SynthConfig(model="barabasi", n=10, seed=1, p=0.5)
-
-
-def test_generate_dispatch():
-    cfg = SynthConfig(model="erdos_renyi", n=12, seed=3, p=0.3)
-    assert generate(cfg).edges == gen_erdos_renyi(12, 0.3, 3).edges
-    cfg = SynthConfig(model="preferential_attachment", n=12, seed=3, edges_per_node=2)
-    assert generate(cfg).edges == gen_preferential(12, 2, 3).edges
+def test_generators_validate_ranges():
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        gen_erdos_renyi(1, 0.5, 1)
+    with pytest.raises(ValueError, match="n must be >= 2"):
+        gen_preferential(1, 1, 1)
+    with pytest.raises(ValueError, match="p in"):
+        gen_erdos_renyi(10, 1.5, 1)
+    with pytest.raises(ValueError, match="p in"):
+        gen_erdos_renyi(10, -0.1, 1)
+    with pytest.raises(ValueError, match="edges_per_node"):
+        gen_preferential(10, 0, 1)
 
 
 # --- erdos-renyi ---

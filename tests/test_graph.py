@@ -6,7 +6,6 @@ from netcover import (
     ParseError,
     UnknownNodeError,
     graph_stats,
-    in_neighbors,
     parse_edge_list,
     to_csv,
     to_json,
@@ -160,7 +159,7 @@ def test_star_neighborhoods():
 
 def test_cycle_in_neighbors():
     g = cycle("abc")
-    assert in_neighbors(g, "b") == frozenset({"a"})
+    assert g.in_neighbors("b") == frozenset({"a"})
 
 
 def test_fan_degrees():
@@ -262,6 +261,14 @@ def test_transpose_consistency_and_exact_stats():
         for u, v in g.edges:
             assert u in g.in_neighbors(v)
             assert v in g.out_neighbors(u)
+        # out_adj rows ascend (betweenness accumulation order depends on it),
+        # spell out exactly the edge list, and agree with out_neighbors
+        assert all(list(row) == sorted(set(row)) for row in g.out_adj)
+        assert [
+            (g.nodes[i], g.nodes[j]) for i, row in enumerate(g.out_adj) for j in row
+        ] == list(g.edges)
+        for v in g.nodes:
+            assert g.out_neighbors(v) == {g.nodes[j] for j in g.out_adj[g.index[v]]}
         s = graph_stats(g)
         assert s.density == g.m / (g.n * (g.n - 1))
         assert s.avg_degree == 2 * g.m / g.n
