@@ -23,6 +23,7 @@ from .centrality import (
     closeness_centrality,
     degree_centrality,
     eigenvector_centrality,
+    path_centralities,
     to_rank,
 )
 from .coverage import (
@@ -94,6 +95,7 @@ __all__ = [
     "node_coverage",
     "pareto_point",
     "parse_edge_list",
+    "path_centralities",
     "rank_correlation_report",
     "set_coverage",
     "spearman",

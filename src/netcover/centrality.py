@@ -6,13 +6,19 @@ leave an ambiguous order).  Conventions for directed graphs:
 
 * degree splits into in / out / total variants;
 * betweenness counts shortest directed paths with the node strictly interior,
-  unnormalized (Brandes accumulation, one BFS per source);
+  unnormalized (Brandes accumulation);
 * closeness uses outgoing distances with a reach-scaled correction
   ``(r / (n - 1)) * (r / D)`` so scores stay comparable when parts of the
   graph are unreachable; it reduces to the classic inverse-average-distance
   form on strongly connected graphs;
 * eigenvector is the dominant left eigenvector of the adjacency matrix (a
   node's score is the sum of its in-neighbors' scores), by power iteration.
+
+Betweenness and closeness share one all-sources sweep over the graph's CSR
+arrays (:func:`path_centralities`): numpy BFS trees for a block of sources
+side by side, level by level, with every floating-point sum taken in the
+order of the classic one-source-at-a-time loop, so the scores do not depend
+on the block size.
 """
 
 from __future__ import annotations
@@ -74,49 +80,155 @@ def degree_centrality(g: DirectedGraph, mode: str = "in") -> CentralityScores:
     return CentralityScores(measure=f"{mode}_degree", scores=scores)
 
 
+#: A block of sources holds at most this many (source, node) keys, and its
+#: busiest BFS level expands about this many edges.  The first block assumes
+#: one level may hold every edge (budget // max(m, n) sources); each later
+#: block scales by the busiest level of the block before, so graphs whose
+#: BFS trees stay small batch many more sources.
+_BLOCK_BUDGET = 2**16
+
+
+def _path_sweep(
+    g: DirectedGraph, with_paths: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Betweenness (``None`` unless ``with_paths``) and closeness, by node index.
+
+    Runs Brandes' algorithm over ``g.csr`` for a block of B sources at once,
+    node v of source b keyed ``b * n + v``.  The forward BFS is
+    level-synchronous and keeps each source's FIFO discovery order; it
+    records the shortest-path DAG edges of each level.  The backward pass
+    feeds each node's dependency contributions to ``np.bincount`` in the
+    reversed discovery order of its children, and sources are added to the
+    totals one by one, ascending, so every floating-point sum runs in the
+    order of the one-source-at-a-time loop.  Path counts sigma are float64,
+    exact below 2**53.
+    """
+    n = g.n
+    indptr, indices = g.csr
+    betweenness = np.zeros(n)
+    closeness = np.zeros(n)
+    block = max(1, _BLOCK_BUDGET // max(g.m, n, 1))
+    lo = 0
+    while lo < n:
+        sources = np.arange(lo, min(lo + block, n))
+        lo += sources.size
+        peak = 1  # edges expanded by the busiest level
+        size = sources.size * n
+        frontier = np.arange(sources.size) * n + sources
+        dist = np.full(size, -1, dtype=np.intp)
+        dist[frontier] = 0
+        first = np.empty(size, dtype=np.intp)  # scratch: first edge, then rank
+        sigma = np.zeros(size)
+        sigma[frontier] = 1.0
+        levels = [frontier]
+        dag = [None]  # per level: (parent key, child's discovery rank) of each DAG edge
+        reached = np.zeros(sources.size, dtype=np.int64)
+        total = np.zeros(sources.size, dtype=np.int64)
+        while True:
+            # Every out-edge of the frontier, frontier order, neighbors ascending.
+            v = frontier % n
+            starts = indptr[v]
+            deg = indptr[v + 1] - starts
+            pos = np.repeat(starts - np.cumsum(deg) + deg, deg)
+            pos += np.arange(pos.size)
+            head = indices[pos]
+            head += np.repeat(frontier - v, deg)
+            peak = max(peak, head.size)
+            # flatnonzero + take: much faster than a boolean mask index here.
+            fresh = np.flatnonzero(dist[head] < 0)
+            if not fresh.size:
+                break
+            head = head[fresh]
+            # FIFO order: a node joins the next level at the first edge that
+            # reaches it, and edges come out in frontier order.
+            at = np.arange(head.size)
+            first[head] = head.size
+            np.minimum.at(first, head, at)
+            nxt = head[np.flatnonzero(first[head] == at)]
+            depth = len(levels)
+            dist[nxt] = depth
+            found = np.bincount(nxt // n, minlength=sources.size)
+            reached += found
+            total += depth * found
+            if with_paths:
+                tail = np.repeat(frontier, deg)[fresh]
+                first[nxt] = np.arange(nxt.size)
+                rank = first[head]
+                sigma[nxt] = np.bincount(rank, weights=sigma[tail], minlength=nxt.size)
+                dag.append((tail, rank))
+            levels.append(nxt)
+            frontier = nxt
+
+        block = max(1, min(_BLOCK_BUDGET // n, _BLOCK_BUDGET * sources.size // peak))
+        some = np.flatnonzero(reached)
+        r = reached[some]
+        closeness[sources[some]] = (r / (n - 1)) * (r / total[some])
+        if not with_paths:
+            continue
+
+        delta = np.zeros(size)
+        for depth in range(len(levels) - 1, 0, -1):
+            children = levels[depth]
+            coeff = (1.0 + delta[children]) / sigma[children]
+            # Children in reversed discovery order; one child's edges have
+            # distinct parents, so their order among themselves is free.
+            tail, rank = dag[depth]
+            order = np.argsort(-rank)
+            tail, rank = tail[order], rank[order]
+            parents = levels[depth - 1]
+            first[parents] = np.arange(parents.size)
+            delta[parents] = np.bincount(
+                first[tail], weights=sigma[tail] * coeff[rank], minlength=parents.size
+            )
+        delta[levels[0]] = 0.0
+        for dependency in delta.reshape(sources.size, n):
+            betweenness += dependency
+
+    return (betweenness if with_paths else None), closeness
+
+
+def _swept(g: DirectedGraph, with_paths: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """:func:`_path_sweep` at most once per graph, kept in ``g.memo``.
+
+    A closeness-only result is swept again in full when betweenness is asked
+    for later.  Callers copy the arrays into fresh score dicts.
+    """
+    done = g.memo.get("path_sweep")
+    if done is None or (with_paths and done[0] is None):
+        done = g.memo["path_sweep"] = _path_sweep(g, with_paths)
+    return done
+
+
+def path_centralities(g: DirectedGraph) -> tuple[CentralityScores, CentralityScores]:
+    """Betweenness and closeness from one shared all-sources sweep.
+
+    Returns ``(betweenness, closeness)``, the same scores as
+    :func:`betweenness_centrality` and :func:`closeness_centrality`.  The
+    sweep runs once per graph: later calls of any of the three reuse it.
+    """
+    betweenness, closeness = _swept(g, with_paths=True)
+    return (
+        CentralityScores("betweenness", dict(zip(g.nodes, betweenness.tolist()))),
+        CentralityScores("closeness", dict(zip(g.nodes, closeness.tolist()))),
+    )
+
+
 def betweenness_centrality(g: DirectedGraph) -> CentralityScores:
     """Unnormalized shortest-path betweenness on the directed graph.
 
     For each node v, sums sigma_st(v) / sigma_st over all ordered pairs
     (s, t) with s != v != t, where sigma_st counts shortest directed paths
     and sigma_st(v) those passing through v as an interior node.  Pairs with
-    no path contribute nothing.  Sources are processed in sorted node order
-    and neighbors in ascending ``out_adj`` order, so the floating-point
-    accumulation is reproducible.
+    no path contribute nothing.
+
+    Brandes' accumulation runs for a block of sources at a time, but in a
+    fixed order: each node's dependency sums its children's contributions in
+    reversed BFS discovery order (neighbors ascending in ``out_adj``), and
+    sources are added to the total in sorted node order, one by one.  The
+    result is bit-for-bit that of the one-source-at-a-time loop.  Path
+    counts sigma are float64, exact below 2**53, as in networkx.
     """
-    adj = g.out_adj
-    n = g.n
-    score = [0.0] * n
-
-    for s in range(n):
-        dist = [-1] * n
-        sigma = [0] * n
-        preds: list[list[int]] = [[] for _ in range(n)]
-        dist[s] = 0
-        sigma[s] = 1
-        queue = deque([s])
-        visited: list[int] = []
-        while queue:
-            v = queue.popleft()
-            visited.append(v)
-            dv = dist[v]
-            sv = sigma[v]
-            for w in adj[v]:
-                if dist[w] < 0:
-                    dist[w] = dv + 1
-                    queue.append(w)
-                if dist[w] == dv + 1:
-                    sigma[w] += sv
-                    preds[w].append(v)
-        delta = [0.0] * n
-        for w in reversed(visited):
-            coeff = (1.0 + delta[w]) / sigma[w]
-            for v in preds[w]:
-                delta[v] += sigma[v] * coeff
-            if w != s:
-                score[w] += delta[w]
-
-    return CentralityScores(measure="betweenness", scores=dict(zip(g.nodes, score)))
+    return path_centralities(g)[0]
 
 
 def closeness_centrality(g: DirectedGraph) -> CentralityScores:
@@ -124,28 +236,12 @@ def closeness_centrality(g: DirectedGraph) -> CentralityScores:
 
     With r nodes reachable from v (excluding v) at total distance D:
     ``closeness(v) = (r / (n - 1)) * (r / D)``; nodes reaching nothing score 0.
+    r and D are exact integers.  Unless the graph's betweenness sweep has
+    already run, only its forward BFS runs; path counts and dependencies are
+    skipped.
     """
-    adj = g.out_adj
-    n = g.n
-    scores = [0.0] * n
-    for src in range(n):
-        dist = [-1] * n
-        dist[src] = 0
-        queue = deque([src])
-        reached = 0
-        total = 0
-        while queue:
-            u = queue.popleft()
-            du = dist[u]
-            for w in adj[u]:
-                if dist[w] < 0:
-                    dist[w] = du + 1
-                    reached += 1
-                    total += du + 1
-                    queue.append(w)
-        if reached:
-            scores[src] = (reached / (n - 1)) * (reached / total)
-    return CentralityScores(measure="closeness", scores=dict(zip(g.nodes, scores)))
+    _, closeness = _swept(g, with_paths=False)
+    return CentralityScores("closeness", dict(zip(g.nodes, closeness.tolist())))
 
 
 def _is_acyclic(g: DirectedGraph) -> bool:
@@ -200,8 +296,8 @@ def eigenvector_centrality(
         )
 
     # Edge index arrays: (A^T x)[t] sums x[s] over the edges s -> t.
-    src = np.repeat(np.arange(n), [len(row) for row in g.out_adj])
-    dst = np.fromiter((t for row in g.out_adj for t in row), dtype=np.intp, count=g.m)
+    indptr, dst = g.csr
+    src = np.repeat(np.arange(n), np.diff(indptr))
 
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = float("inf")

@@ -33,10 +33,18 @@ _MODEL_ALIASES = {
 
 
 def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
+    """Parse the input file; report dropped rows as one stderr warning."""
     text = Path(path).read_text(encoding="utf-8")
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "csv"
-    return parse_edge_list(text, fmt)
+    g = parse_edge_list(text, fmt)
+    if g.ingest.duplicates or g.ingest.self_loops:
+        print(
+            f"warning: ingest dropped {g.ingest.duplicates} duplicate edge(s) "
+            f"and {g.ingest.self_loops} self-loop(s)",
+            file=sys.stderr,
+        )
+    return g
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -4,10 +4,12 @@ The graph is stored as a sorted node tuple plus a sorted edge tuple.  At
 construction it also derives, once, the integer adjacency every traversal
 reads (``index``: label -> position in ``nodes``; ``out_adj``: each node's
 out-neighbor positions, ascending) and each node's in-neighbor label set,
-which is the coverage set.  Node labels are opaque non-empty strings; every
-ordering decision downstream (rank tie-breaks, serialized output, scan order)
-falls back on plain lexicographic label comparison, so graphs built from the
-same data behave identically run to run.
+which is the coverage set.  The numpy CSR form of ``out_adj`` (``csr``) is
+derived on first use only, so ingest-only callers never pay for it.  Node
+labels are opaque non-empty strings; every ordering decision downstream (rank
+tie-breaks, serialized output, scan order) falls back on plain lexicographic
+label comparison, so graphs built from the same data behave identically run
+to run.
 
 Ingestion dedups edges and drops self-loops, counting both into an
 :class:`IngestReport` carried on the graph (excluded from equality).  A node
@@ -22,7 +24,11 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Iterable
+
+import numpy as np
 
 
 class ParseError(ValueError):
@@ -66,6 +72,11 @@ class DirectedGraph:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
     out_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _in: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    #: Whole-graph results that analysis modules derive from this immutable
+    #: graph, keyed by analysis and computed at most once per graph.
+    memo: dict[str, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         index = {v: i for i, v in enumerate(self.nodes)}
@@ -154,6 +165,18 @@ class DirectedGraph:
             return self._in[v]
         except KeyError:
             raise UnknownNodeError(v) from None
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """``out_adj`` as CSR arrays ``(indptr, indices)``, built on first use.
+
+        Node ``i``'s out-neighbors are ``indices[indptr[i]:indptr[i + 1]]``,
+        ascending; both arrays are ``np.intp``.
+        """
+        indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum([len(row) for row in self.out_adj], out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self.out_adj), dtype=np.intp, count=self.m)
+        return indptr, indices
 
     def out_neighbors(self, v: str) -> frozenset[str]:
         """Nodes ``v`` has an edge to (built on demand from ``out_adj``)."""

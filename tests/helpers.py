@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from netcover import DirectedGraph, gen_erdos_renyi, gen_preferential
@@ -65,3 +67,57 @@ def strongly_connected_digraph(rng: np.random.Generator, max_n: int = 30) -> Dir
         if a != b:
             edges.add((labels[a], labels[b]))
     return DirectedGraph.from_edges(sorted(edges))
+
+
+def bigrid(side: int) -> DirectedGraph:
+    """side x side grid with both directions on every edge: deep BFS levels
+    and many tied shortest paths."""
+
+    def label(i: int, j: int) -> str:
+        return f"r{i:02d}c{j:02d}"
+
+    edges = []
+    for i in range(side):
+        for j in range(side):
+            for a, b in ((i + 1, j), (i, j + 1)):
+                if a < side and b < side:
+                    edges += [(label(i, j), label(a, b)), (label(a, b), label(i, j))]
+    return DirectedGraph.from_edges(edges)
+
+
+def scalar_path_centralities(g: DirectedGraph) -> tuple[list[float], list[float]]:
+    """Reference (betweenness, closeness) by node index: one FIFO BFS per
+    source with Python-int path counts, accumulating in the classic
+    one-source-at-a-time order that the vectorized sweep must reproduce."""
+    adj, n = g.out_adj, g.n
+    betweenness = [0.0] * n
+    closeness = [0.0] * n
+    for s in range(n):
+        dist = [-1] * n
+        sigma = [0] * n
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s], sigma[s] = 0, 1
+        queue = deque([s])
+        visited: list[int] = []
+        while queue:
+            v = queue.popleft()
+            visited.append(v)
+            for w in adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = [0.0] * n
+        for w in reversed(visited):
+            coeff = (1.0 + delta[w]) / sigma[w]
+            for v in preds[w]:
+                delta[v] += sigma[v] * coeff
+            if w != s:
+                betweenness[w] += delta[w]
+        reached = len(visited) - 1
+        if reached:
+            total = sum(dist[v] for v in visited)
+            closeness[s] = (reached / (n - 1)) * (reached / total)
+    return betweenness, closeness

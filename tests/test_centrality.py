@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import netcover.centrality as centrality_mod
 from netcover import (
     MEASURES,
     DirectedGraph,
@@ -11,16 +13,20 @@ from netcover import (
     degree_centrality,
     eigenvector_centrality,
     gen_erdos_renyi,
+    gen_preferential,
+    path_centralities,
     to_rank,
 )
 from netcover.centrality import CentralityScores
 from helpers import (
+    bigrid,
     bipath,
     complete,
     cycle,
     graph_of,
     path,
     random_digraph,
+    scalar_path_centralities,
     star,
     strongly_connected_digraph,
 )
@@ -269,3 +275,91 @@ def test_scores_cover_nodes_and_are_finite():
             assert cs.measure in MEASURES
             for x in cs.scores.values():
                 assert math.isfinite(x) and x >= 0.0
+
+
+# --- the shared betweenness/closeness sweep ---
+
+
+def _sha256(g: DirectedGraph, cs: CentralityScores) -> str:
+    values = np.array([cs.scores[v] for v in g.nodes], dtype=np.float64)
+    return hashlib.sha256(values.tobytes()).hexdigest()
+
+
+# sha256 of the float64 scores in node order, recorded from the
+# one-BFS-per-source loops the sweep replaced: (betweenness, closeness).
+_RECORDED = {
+    "er300": (
+        "9bb7657c26a3675dfe210109fcc72fd7252ab3bd55bdc8c64ed46bd4f76c9df2",
+        "43c6cb88e3db39a6c3e96fe443cce5c55fc52cb2e9f8bde0b3721bef463121fb",
+    ),
+    "pa215": (
+        "b8ac679e2ab723e09a90afea7280429be1da3035eac185028be5893373998d9b",
+        "aa65960d0cb5cd83b009b213009542b2e9bdb9e414a52a1713c15589031b4f5e",
+    ),
+    "grid20": (
+        "ee01cf7d531332cf9a97ae1ea5e0714688577e8e43ae466a952d93ee60f6a1af",
+        "868042b74c02e64d8ea2c14cd77b4203fff4d97ca4e187ed54e9b8ba0e4a8620",
+    ),
+}
+
+
+_BUILD = {
+    "er300": lambda: gen_erdos_renyi(300, 0.03, 17),
+    "pa215": lambda: gen_preferential(215, 10, 3),
+    "grid20": lambda: bigrid(20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDED))
+def test_path_sweep_bit_identical(name):
+    # a fresh graph per call: each graph keeps its first sweep
+    g = _BUILD[name]()
+    betweenness, closeness = path_centralities(g)
+    assert (_sha256(g, betweenness), _sha256(g, closeness)) == _RECORDED[name]
+    g = _BUILD[name]()
+    assert _sha256(g, betweenness_centrality(g)) == _RECORDED[name][0]
+    g = _BUILD[name]()
+    assert _sha256(g, closeness_centrality(g)) == _RECORDED[name][1]  # forward only
+
+
+def _scores_by_index(*measures: CentralityScores) -> list[list[float]]:
+    return [list(cs.scores.values()) for cs in measures]  # dicts keep node order
+
+
+def test_path_sweep_block_boundaries(monkeypatch):
+    """Blocks of one source, an uneven split with a partial last block, and
+    all sources in one block give the scalar loop's scores bit for bit."""
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        h = random_digraph(rng, max_n=25)
+
+        def fresh() -> DirectedGraph:  # isolated nodes: unreachable pairs
+            return DirectedGraph.from_edges(h.edges, nodes=h.nodes + ("zz1", "zz2"))
+
+        g = fresh()
+        want = list(scalar_path_centralities(g))
+        # The first block takes budget // max(m, n) sources, later blocks at
+        # least as many and at most budget // n: so one source per block
+        # throughout, n // 2 + 1 sources then a partial block, all n at once.
+        width = max(g.m, g.n)
+        for budget in (1, (g.n // 2 + 1) * width, g.n * width):
+            monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", budget)
+            assert _scores_by_index(*path_centralities(fresh())) == want, budget
+            assert _scores_by_index(closeness_centrality(fresh())) == want[1:]
+
+
+def test_path_sweep_runs_once_per_graph(monkeypatch):
+    g = gen_erdos_renyi(40, 0.1, 2)
+    calls = []
+    sweep = centrality_mod._path_sweep
+
+    def counted(graph, with_paths):
+        calls.append(with_paths)
+        return sweep(graph, with_paths)
+
+    monkeypatch.setattr(centrality_mod, "_path_sweep", counted)
+    first = closeness_centrality(g).scores  # forward BFS only
+    betweenness, closeness = path_centralities(g)  # needs the full sweep
+    assert betweenness_centrality(g).scores == betweenness.scores
+    assert closeness_centrality(g).scores == closeness.scores == first
+    assert calls == [False, True]

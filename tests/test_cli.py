@@ -56,6 +56,19 @@ def test_stats_missing_file(capsys):
     assert out == ""
 
 
+def test_ingest_drops_warn_on_stderr_only(tmp_path, capsys):
+    clean = tmp_path / "clean.csv"
+    clean.write_text("a,b\nb,c\n")
+    dirty = tmp_path / "dirty.csv"
+    dirty.write_text("a,b\nb,c\na,b\nc,c\n")  # one duplicate, one self-loop
+    code, clean_out, clean_err = run(["stats", str(clean)], capsys)
+    assert (code, clean_err) == (0, "")
+    code, out, err = run(["stats", str(dirty)], capsys)
+    assert code == 0
+    assert out == clean_out
+    assert err == "warning: ingest dropped 1 duplicate edge(s) and 1 self-loop(s)\n"
+
+
 def test_stats_json_format(two_node, capsys):
     code, out, _ = run(["stats", two_node, "--format", "json"], capsys)
     assert code == 0

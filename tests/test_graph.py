@@ -269,6 +269,13 @@ def test_transpose_consistency_and_exact_stats():
         ] == list(g.edges)
         for v in g.nodes:
             assert g.out_neighbors(v) == {g.nodes[j] for j in g.out_adj[g.index[v]]}
+        # the CSR arrays are built on first use only, then spell out out_adj
+        assert "csr" not in g.__dict__
+        indptr, indices = g.csr
+        assert g.csr is g.csr
+        assert [
+            tuple(indices[indptr[i] : indptr[i + 1]].tolist()) for i in range(g.n)
+        ] == list(g.out_adj)
         s = graph_stats(g)
         assert s.density == g.m / (g.n * (g.n - 1))
         assert s.avg_degree == 2 * g.m / g.n
