@@ -24,7 +24,7 @@ on the block size.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,10 +51,14 @@ class CentralityScores:
 
 @dataclass(frozen=True)
 class Rank:
-    """Nodes ordered best-first; always a full permutation, never tied."""
+    """Nodes ordered best-first; always a full permutation, never tied.
+
+    ``warning`` is the scores' warning, carried along for the user.
+    """
 
     measure: str
     order: tuple[str, ...]
+    warning: str | None = field(default=None, compare=False)
 
     def positions(self) -> dict[str, int]:
         """1-based position of every node (1 = top of the rank)."""
@@ -64,7 +68,7 @@ class Rank:
 def to_rank(scores: CentralityScores) -> Rank:
     """Order nodes by score descending, ties broken by label ascending."""
     ordered = sorted(scores.scores, key=lambda v: (-scores.scores[v], v))
-    return Rank(measure=scores.measure, order=tuple(ordered))
+    return Rank(measure=scores.measure, order=tuple(ordered), warning=scores.warning)
 
 
 def degree_centrality(g: DirectedGraph, mode: str = "in") -> CentralityScores:
@@ -223,7 +227,7 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityScores:
 
     Brandes' accumulation runs for a block of sources at a time, but in a
     fixed order: each node's dependency sums its children's contributions in
-    reversed BFS discovery order (neighbors ascending in ``out_adj``), and
+    reversed BFS discovery order (neighbors ascending in ``csr``), and
     sources are added to the total in sorted node order, one by one.  The
     result is bit-for-bit that of the one-source-at-a-time loop.  Path
     counts sigma are float64, exact below 2**53, as in networkx.
@@ -245,13 +249,14 @@ def closeness_centrality(g: DirectedGraph) -> CentralityScores:
 
 
 def _is_acyclic(g: DirectedGraph) -> bool:
+    indptr, indices = (a.tolist() for a in g.csr)
     indeg = [g.in_degree(v) for v in g.nodes]
     queue = deque(i for i, d in enumerate(indeg) if d == 0)
     removed = 0
     while queue:
         v = queue.popleft()
         removed += 1
-        for w in g.out_adj[v]:
+        for w in indices[indptr[v] : indptr[v + 1]]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)

@@ -32,6 +32,13 @@ _MODEL_ALIASES = {
 }
 
 
+def _warn(*messages: str | None) -> None:
+    """One ``warning:`` line on stderr per message that is not ``None``."""
+    for message in messages:
+        if message is not None:
+            print(f"warning: {message}", file=sys.stderr)
+
+
 def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
     """Parse the input file; report dropped rows as one stderr warning."""
     text = Path(path).read_text(encoding="utf-8")
@@ -39,10 +46,9 @@ def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
         fmt = "json" if path.endswith(".json") else "csv"
     g = parse_edge_list(text, fmt)
     if g.ingest.duplicates or g.ingest.self_loops:
-        print(
-            f"warning: ingest dropped {g.ingest.duplicates} duplicate edge(s) "
-            f"and {g.ingest.self_loops} self-loop(s)",
-            file=sys.stderr,
+        _warn(
+            f"ingest dropped {g.ingest.duplicates} duplicate edge(s) "
+            f"and {g.ingest.self_loops} self-loop(s)"
         )
     return g
 
@@ -142,6 +148,7 @@ def _cmd_select(args: argparse.Namespace) -> str:
             sel = greedy_select(g, 1.0).truncated(args.k)
     else:
         rank = centrality_rank(g, args.method)
+        _warn(rank.warning)
         if args.k is not None:
             sel = centrality_rank_select(g, rank, args.k)
         else:
@@ -158,12 +165,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> str:
             ks = tuple(int(part) for part in args.ks.split(","))
         except ValueError:
             raise ValueError(f"--ks must be comma-separated integers, got {args.ks!r}")
-    return render.render_table(coverage_table(g, ks), args.format)
+    table = coverage_table(g, ks)
+    _warn(*table.warnings)
+    return render.render_table(table, args.format)
 
 
 def _cmd_correlate(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph, args.input_format)
-    return render.render_matrix(rank_correlation_report(g), args.format)
+    matrix = rank_correlation_report(g)
+    _warn(*matrix.warnings)
+    return render.render_matrix(matrix, args.format)
 
 
 def _cmd_gen(args: argparse.Namespace) -> str:

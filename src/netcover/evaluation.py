@@ -14,7 +14,7 @@ Compares the greedy selector against the four centrality baselines
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -69,11 +69,15 @@ def centrality_rank(g: DirectedGraph, method: str) -> Rank:
 
 @dataclass(frozen=True)
 class CoverageTable:
-    """Coverage fraction per (k, method); columns are non-decreasing in k."""
+    """Coverage fraction per (k, method); columns are non-decreasing in k.
+
+    ``warnings`` holds the baselines' score warnings, in method order.
+    """
 
     ks: tuple[int, ...]
     methods: tuple[str, ...]
     columns: dict[str, tuple[float, ...]]
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
     def cell(self, k: int, method: str) -> float:
         return self.columns[method][self.ks.index(k)]
@@ -85,10 +89,12 @@ class RankCorrelationMatrix:
 
     An entry is ``None`` when rho is undefined, i.e. a baseline scores every
     node identically so its tie-averaged ranks have zero variance.
+    ``warnings`` holds the baselines' score warnings, in method order.
     """
 
     reference: str
     entries: dict[str, float | None]
+    warnings: tuple[str, ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -120,16 +126,22 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
         raise ValueError(f"max k {ks[-1]} exceeds node count {g.n}")
 
     columns: dict[str, tuple[float, ...]] = {}
+    warnings: list[str] = []
     for method in METHODS[:-1]:
-        prefix = centrality_rank_select(g, centrality_rank(g, method), ks[-1]).cumulative
+        rank = centrality_rank(g, method)
+        prefix = centrality_rank_select(g, rank, ks[-1]).cumulative
         columns[method] = tuple(prefix[k - 1] for k in ks)
+        if rank.warning is not None:
+            warnings.append(rank.warning)
 
     greedy = greedy_select(g, target_coverage=1.0)
     greedy_curve = greedy.cumulative
     last = len(greedy_curve) - 1
     columns["greedy"] = tuple(greedy_curve[min(k - 1, last)] for k in ks)
 
-    return CoverageTable(ks=ks, methods=METHODS, columns=columns)
+    return CoverageTable(
+        ks=ks, methods=METHODS, columns=columns, warnings=tuple(warnings)
+    )
 
 
 # ---- Spearman rank correlation ----------------------------------------------
@@ -137,18 +149,11 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
 
 def _fractional_ranks(values: Sequence[float]) -> np.ndarray:
     """Ascending ranks 1..n with ties sharing their average position."""
-    arr = np.asarray(values, dtype=float)
-    order = np.argsort(arr, kind="stable")
-    ranks = np.empty(len(arr), dtype=float)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        avg = (i + j + 2) / 2.0  # positions are 1-based
-        ranks[order[i : j + 1]] = avg
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(
+        np.asarray(values, dtype=float), return_inverse=True, return_counts=True
+    )
+    ends = np.cumsum(counts)  # 1-based position of each tie group's last member
+    return ((ends - counts + 1 + ends) / 2)[inverse]
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -217,14 +222,20 @@ def rank_correlation_report(g: DirectedGraph) -> RankCorrelationMatrix:
     greedy_vec = greedy_rank_vector(g)
     xs = [greedy_vec[v] for v in labels]
     entries: dict[str, float | None] = {}
+    warnings: list[str] = []
     for method in METHODS[:-1]:
-        scores = centrality_scores(g, method).scores
+        result = centrality_scores(g, method)
+        scores = result.scores
         ys = [-scores[v] for v in labels]  # negate: highest score ranks first
         try:
             entries[method] = spearman(xs, ys)
         except ValueError:
             entries[method] = None
-    return RankCorrelationMatrix(reference="greedy", entries=entries)
+        if result.warning is not None:
+            warnings.append(result.warning)
+    return RankCorrelationMatrix(
+        reference="greedy", entries=entries, warnings=tuple(warnings)
+    )
 
 
 def pareto_point(

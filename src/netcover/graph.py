@@ -1,12 +1,11 @@
 """Immutable directed graphs, text ingestion, and whole-graph statistics.
 
 The graph is stored as a sorted node tuple plus a sorted edge tuple.  At
-construction it also derives, once, the integer adjacency every traversal
-reads (``index``: label -> position in ``nodes``; ``out_adj``: each node's
-out-neighbor positions, ascending) and each node's in-neighbor label set,
-which is the coverage set.  The numpy CSR form of ``out_adj`` (``csr``) is
-derived on first use only, so ingest-only callers never pay for it.  Node
-labels are opaque non-empty strings; every ordering decision downstream (rank
+construction it also derives, once, the one integer adjacency every traversal
+reads (``index``: label -> position in ``nodes``; ``csr``: read-only numpy
+arrays ``(indptr, indices)`` of each node's out-neighbor positions, ascending)
+and each node's in-neighbor label set, which is the coverage set.  Node labels
+are opaque non-empty strings; every ordering decision downstream (rank
 tie-breaks, serialized output, scan order) falls back on plain lexicographic
 label comparison, so graphs built from the same data behave identically run
 to run.
@@ -24,8 +23,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -70,7 +67,9 @@ class DirectedGraph:
     edges: tuple[tuple[str, str], ...]
     ingest: IngestReport = field(default_factory=IngestReport, compare=False)
     index: dict[str, int] = field(init=False, repr=False, compare=False)
-    out_adj: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    #: ``(indptr, indices)``: node ``i``'s out-neighbors are
+    #: ``indices[indptr[i]:indptr[i + 1]]``, ascending; read-only ``np.intp``.
+    csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _in: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
     #: Whole-graph results that analysis modules derive from this immutable
     #: graph, keyed by analysis and computed at most once per graph.
@@ -79,26 +78,32 @@ class DirectedGraph:
     )
 
     def __post_init__(self) -> None:
-        index = {v: i for i, v in enumerate(self.nodes)}
-        if len(index) != len(self.nodes) or list(self.nodes) != sorted(self.nodes):
+        nodes, edges = self.nodes, self.edges
+        if any(a >= b for a, b in zip(nodes, nodes[1:])):
             raise ValueError("nodes must be sorted and unique; use from_edges()")
-        if any(not isinstance(v, str) or not v for v in self.nodes):
+        if any(not isinstance(v, str) or not v for v in nodes):
             raise ValueError("node labels must be non-empty strings")
-        if list(self.edges) != sorted(set(self.edges)):
+        if any(a >= b for a, b in zip(edges, edges[1:])):
             raise ValueError("edges must be sorted and unique; use from_edges()")
-        out: list[list[int]] = [[] for _ in self.nodes]
-        incoming: list[list[str]] = [[] for _ in self.nodes]
-        for s, t in self.edges:
+        index = {v: i for i, v in enumerate(nodes)}
+        tails, heads = [], []
+        incoming: list[list[str]] = [[] for _ in nodes]
+        for s, t in edges:
             if s == t:
                 raise ValueError(f"self-loop {s!r}; use from_edges()")
             i, j = index.get(s), index.get(t)
             if i is None or j is None:
                 raise ValueError(f"edge ({s!r}, {t!r}) has an endpoint outside nodes")
-            out[i].append(j)  # edges are sorted, so each row comes out ascending
+            tails.append(i)
+            heads.append(j)  # edges are sorted, so each row comes out ascending
             incoming[j].append(s)
+        indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(tails, minlength=len(nodes)), out=indptr[1:])
+        indices = np.array(heads, dtype=np.intp)
+        indptr.flags.writeable = indices.flags.writeable = False
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "out_adj", tuple(map(tuple, out)))
-        object.__setattr__(self, "_in", dict(zip(self.nodes, map(frozenset, incoming))))
+        object.__setattr__(self, "csr", (indptr, indices))
+        object.__setattr__(self, "_in", dict(zip(nodes, map(frozenset, incoming))))
 
     @classmethod
     def from_edges(
@@ -166,27 +171,20 @@ class DirectedGraph:
         except KeyError:
             raise UnknownNodeError(v) from None
 
-    @cached_property
-    def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """``out_adj`` as CSR arrays ``(indptr, indices)``, built on first use.
-
-        Node ``i``'s out-neighbors are ``indices[indptr[i]:indptr[i + 1]]``,
-        ascending; both arrays are ``np.intp``.
-        """
-        indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum([len(row) for row in self.out_adj], out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(self.out_adj), dtype=np.intp, count=self.m)
-        return indptr, indices
+    def _row(self, v: str) -> np.ndarray:
+        indptr, indices = self.csr
+        i = self._position(v)
+        return indices[indptr[i] : indptr[i + 1]]
 
     def out_neighbors(self, v: str) -> frozenset[str]:
-        """Nodes ``v`` has an edge to (built on demand from ``out_adj``)."""
-        return frozenset(self.nodes[j] for j in self.out_adj[self._position(v)])
+        """Nodes ``v`` has an edge to (built on demand from ``csr``)."""
+        return frozenset(self.nodes[j] for j in self._row(v).tolist())
 
     def in_degree(self, v: str) -> int:
         return len(self.in_neighbors(v))
 
     def out_degree(self, v: str) -> int:
-        return len(self.out_adj[self._position(v)])
+        return len(self._row(v))
 
 
 @dataclass(frozen=True)

@@ -89,7 +89,9 @@ def scalar_path_centralities(g: DirectedGraph) -> tuple[list[float], list[float]
     """Reference (betweenness, closeness) by node index: one FIFO BFS per
     source with Python-int path counts, accumulating in the classic
     one-source-at-a-time order that the vectorized sweep must reproduce."""
-    adj, n = g.out_adj, g.n
+    n = g.n
+    indptr, indices = (a.tolist() for a in g.csr)
+    adj = [indices[indptr[v] : indptr[v + 1]] for v in range(n)]
     betweenness = [0.0] * n
     closeness = [0.0] * n
     for s in range(n):

@@ -1,8 +1,10 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from netcover.cli import main
@@ -226,6 +228,36 @@ def test_correlate_json_schema(two_node, capsys):
     assert doc["reference"] == "greedy"
 
 
+# --- eigenvector warnings ---
+
+FALLBACK_WARNING = (
+    "warning: acyclic graph: power iteration collapses to zero; "
+    "scores proportional to in-degree\n"
+)
+
+WARNING_COMMANDS = {
+    "select": ["select", "--method", "eigenvector", "--k", "3"],
+    "evaluate": ["evaluate"],
+    "correlate": ["correlate"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(WARNING_COMMANDS))
+def test_eigenvector_fallback_warns_on_stderr_once(command, capsys):
+    argv = WARNING_COMMANDS[command]
+    code, _, err = run([argv[0], str(GOLDEN / "gen_pa.json"), *argv[1:]], capsys)
+    assert (code, err) == (0, FALLBACK_WARNING)
+
+
+@pytest.mark.parametrize("command", sorted(WARNING_COMMANDS))
+def test_cyclic_input_gives_empty_stderr(command, tmp_path, capsys):
+    p = tmp_path / "cyclic.csv"
+    p.write_text("a,b\nb,c\nc,a\na,c\nd,a\n")
+    argv = WARNING_COMMANDS[command]
+    code, _, err = run([argv[0], str(p), *argv[1:]], capsys)
+    assert (code, err) == (0, "")
+
+
 # --- gen ---
 
 
@@ -380,3 +412,30 @@ def test_stats_csv_format(star_graph, capsys):
     code, out, _ = run(["stats", star_graph, "--format", "csv"], capsys)
     assert code == 0
     assert out == "n,m,density,avg_degree\n5,4,0.2,1.6\n"
+
+
+# --- scale ---
+
+
+def test_fifty_thousand_node_input_exits_zero(tmp_path, capsys):
+    """A ~200k-edge cyclic input runs in edge-list memory, not O(n^2)."""
+    n = 50_000
+    rng = np.random.default_rng(5)
+    tails = np.repeat(np.arange(n), 4)
+    offsets = rng.integers(1, n, size=(n, 4))
+    offsets[:, 0] = 1  # ring edge i -> i+1 makes the graph cyclic
+    heads = (tails + offsets.ravel()) % n
+    p = tmp_path / "big.csv"
+    rows = zip(tails.tolist(), heads.tolist())
+    p.write_text("".join(f"v{s},v{t}\n" for s, t in rows))
+
+    start = time.perf_counter()
+    code, out, err = run(["stats", str(p)], capsys)
+    assert code == 0, err
+    assert out.startswith(f"n={n} ")
+    argv = ["select", str(p), "--method", "eigenvector", "--k", "10"]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert "internal error" not in out + err
+    assert len(out.strip().splitlines()) > 10
+    assert time.perf_counter() - start < 60

@@ -18,7 +18,7 @@ from netcover import (
     rank_correlation_report,
     spearman,
 )
-from netcover.evaluation import centrality_scores
+from netcover.evaluation import _fractional_ranks, centrality_scores
 from helpers import graph_of, random_digraph, star
 
 
@@ -172,6 +172,15 @@ def test_spearman_matches_scipy():
             continue
         want = sstats.spearmanr(a, b).statistic
         assert spearman(a, b) == pytest.approx(want, abs=1e-12)
+
+
+def test_fractional_ranks_equal_scipy_average_ranks():
+    rng = np.random.default_rng(27)
+    for _ in range(200):
+        n = int(rng.integers(1, 60))
+        values = rng.integers(-3, 4, size=n) * rng.choice([1.0, 0.5, -0.0], size=n)
+        got = _fractional_ranks(list(values))
+        assert np.array_equal(got, sstats.rankdata(values, method="average"))
 
 
 def test_spearman_tie_free_closed_form():

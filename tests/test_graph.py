@@ -146,6 +146,44 @@ def test_empty_label_rejected():
         DirectedGraph.from_edges([("a", "")])
 
 
+_UNSORTED_NODES = "nodes must be sorted and unique; use from_edges()"
+_UNSORTED_EDGES = "edges must be sorted and unique; use from_edges()"
+_BAD_LABEL = "node labels must be non-empty strings"
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, message",
+    [
+        pytest.param(("b", "a"), (), _UNSORTED_NODES, id="unsorted-nodes"),
+        pytest.param(("a", "a", "b"), (), _UNSORTED_NODES, id="duplicate-node"),
+        pytest.param(
+            ("a", "b", "c"),
+            (("b", "c"), ("a", "b")),
+            _UNSORTED_EDGES,
+            id="unsorted-edges",
+        ),
+        pytest.param(
+            ("a", "b"), (("a", "b"), ("a", "b")), _UNSORTED_EDGES, id="duplicate-edge"
+        ),
+        pytest.param(
+            ("a", "b"), (("a", "a"),), "self-loop 'a'; use from_edges()", id="self-loop"
+        ),
+        pytest.param(
+            ("a", "b"),
+            (("a", "z"),),
+            "edge ('a', 'z') has an endpoint outside nodes",
+            id="foreign-endpoint",
+        ),
+        pytest.param(("",), (), _BAD_LABEL, id="empty-label"),
+        pytest.param((1,), (), _BAD_LABEL, id="non-str-label"),
+    ],
+)
+def test_constructor_rejects_non_canonical_input(nodes, edges, message):
+    with pytest.raises(ValueError) as exc:
+        DirectedGraph(nodes=nodes, edges=edges)
+    assert str(exc.value) == message
+
+
 # --- neighborhoods and degrees ---
 
 
@@ -261,21 +299,22 @@ def test_transpose_consistency_and_exact_stats():
         for u, v in g.edges:
             assert u in g.in_neighbors(v)
             assert v in g.out_neighbors(u)
-        # out_adj rows ascend (betweenness accumulation order depends on it),
-        # spell out exactly the edge list, and agree with out_neighbors
-        assert all(list(row) == sorted(set(row)) for row in g.out_adj)
+        # csr rows ascend (betweenness accumulation order depends on it),
+        # spell out exactly the edge list, and agree with out_neighbors and
+        # out_degree; both arrays are read-only, like the graph
+        indptr, indices = g.csr
+        rows = [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(g.n)]
+        assert all(row == sorted(set(row)) for row in rows)
         assert [
-            (g.nodes[i], g.nodes[j]) for i, row in enumerate(g.out_adj) for j in row
+            (g.nodes[i], g.nodes[j]) for i, row in enumerate(rows) for j in row
         ] == list(g.edges)
         for v in g.nodes:
-            assert g.out_neighbors(v) == {g.nodes[j] for j in g.out_adj[g.index[v]]}
-        # the CSR arrays are built on first use only, then spell out out_adj
-        assert "csr" not in g.__dict__
-        indptr, indices = g.csr
-        assert g.csr is g.csr
-        assert [
-            tuple(indices[indptr[i] : indptr[i + 1]].tolist()) for i in range(g.n)
-        ] == list(g.out_adj)
+            row = rows[g.index[v]]
+            assert g.out_neighbors(v) == {g.nodes[j] for j in row}
+            assert g.out_degree(v) == len(row)
+        assert not indptr.flags.writeable and not indices.flags.writeable
+        with pytest.raises(ValueError):
+            indices[:1] = 0
         s = graph_stats(g)
         assert s.density == g.m / (g.n * (g.n - 1))
         assert s.avg_degree == 2 * g.m / g.n
