@@ -21,8 +21,9 @@ g = DirectedGraph.from_edges(
 print("coverage of h1:", sorted(node_coverage(g, "h1")))
 print("coverage of {h1,h2}:", set_coverage(g, {"h1", "h2"}))
 
-# greedy picks the best marginal contributor each round, pruning the scan
-# with the in-degree+1 upper bound; the result equals exhaustive greedy
+# greedy picks the best marginal contributor each round; a heap of stale
+# gains (upper bounds, since gains only shrink) spares most re-evaluations,
+# and the result equals exhaustive greedy
 res = greedy_select(g, target_coverage=0.8)
 print("greedy picks:", res.picks, "cumulative:", res.cumulative)
 

@@ -6,16 +6,20 @@ coverage sets; the goal is to reach a target fraction of the whole graph
 with as few picks as possible.
 
 :func:`greedy_select` picks, each round, the node contributing the most
-not-yet-covered nodes.  Because a node's marginal contribution can never
-exceed its in-degree plus one, scanning candidates in in-degree-descending
-order lets the scan stop early: once the best marginal seen is at least
-``in_degree(next) + 1``, no later candidate can strictly beat it.  This lazy
-scan provably returns exactly the same picks as an exhaustive rescan with
-the same tie-break (first candidate in scan order wins ties), just faster.
+not-yet-covered nodes.  Coverage is submodular: a node's marginal gain can
+only shrink as the covered set grows, so a gain computed in an earlier round
+(or the initial ``in_degree + 1``) is an upper bound on its gain now.  The
+selector keeps those stale bounds in a heap (accelerated lazy greedy, or
+CELF: Minoux 1978; Leskovec et al. 2007) and re-evaluates only the candidate
+on top; once the top entry is fresh, no other candidate can beat it.  With
+the scan position as the tie key this returns exactly the picks of an
+exhaustive rescan that lets the first candidate in (in-degree descending,
+label ascending) order win ties.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -81,43 +85,39 @@ def set_coverage(g: DirectedGraph, selected: Iterable[str]) -> CoverageSet:
 def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionResult:
     """Select nodes greedily by marginal coverage until the target is met.
 
-    Candidates are scanned in (in-degree descending, label ascending) order;
-    each round picks the first candidate with the largest marginal
-    contribution against the current covered set, stopping the scan as soon
-    as the best marginal so far reaches the next candidate's upper bound
-    ``in_degree + 1``.  While coverage is below 1.0 some node is uncovered
-    and contributes at least itself, so every round makes progress and the
-    run stops at exactly the first pick reaching the target.
+    A heap holds ``(-gain bound, scan position, node, round evaluated)`` per
+    unpicked node, seeded with ``in_degree + 1`` in scan order (in-degree
+    descending, label ascending).  Each round re-evaluates the top entry until
+    the top was evaluated this round; every other entry's bound, and so its
+    true gain, is then smaller, or equal and later in scan order, so the top
+    is the first candidate in scan order with the largest gain.  While
+    coverage is below 1.0 some node is uncovered and contributes at least
+    itself, so every round makes progress and the run stops at exactly the
+    first pick reaching the target.
     """
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(f"target_coverage must be in (0, 1], got {target_coverage}")
     if g.n == 0:
         raise ValueError("cannot select from an empty graph")
 
-    order = sorted(g.nodes, key=lambda v: (-g.in_degree(v), v))
-    bound = {v: g.in_degree(v) + 1 for v in order}
+    # scan order, in-degree descending then label; sorted, so already a heap
+    ranked = sorted((-(g.in_degree(v) + 1), v) for v in g.nodes)
+    heap = [(neg_bound, i, v, -1) for i, (neg_bound, v) in enumerate(ranked)]
     n = g.n
     covered: set[str] = set()
-    selected: set[str] = set()
     picks: list[str] = []
     cumulative: list[float] = []
 
     while len(covered) / n < target_coverage:
-        best: str | None = None
-        best_gain = -1
-        for v in order:
-            if v in selected:
-                continue
-            if best_gain >= bound[v]:
-                break
+        _, pos, v, evaluated = heap[0]
+        if evaluated == len(picks):
+            heapq.heappop(heap)
+            covered |= node_coverage(g, v)
+            picks.append(v)
+            cumulative.append(len(covered) / n)
+        else:
             gain = len(node_coverage(g, v) - covered)
-            if gain > best_gain:
-                best, best_gain = v, gain
-        assert best is not None, "unreachable: an uncovered node always remains"
-        selected.add(best)
-        covered |= node_coverage(g, best)
-        picks.append(best)
-        cumulative.append(len(covered) / n)
+            heapq.heapreplace(heap, (-gain, pos, v, len(picks)))
 
     return SelectionResult(
         method="greedy",

@@ -124,6 +124,7 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
         raise ValueError(f"ks must be strictly ascending, got {list(ks)}")
     if ks[-1] > g.n:
         raise ValueError(f"max k {ks[-1]} exceeds node count {g.n}")
+    ks = tuple(int(k) for k in ks)  # an integral float such as 2.0 cannot index
 
     columns: dict[str, tuple[float, ...]] = {}
     warnings: list[str] = []

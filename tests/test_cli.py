@@ -438,4 +438,9 @@ def test_fifty_thousand_node_input_exits_zero(tmp_path, capsys):
     assert code == 0, err
     assert "internal error" not in out + err
     assert len(out.strip().splitlines()) > 10
+    # flat degrees: greedy must not rescan every node each round
+    argv = ["select", str(p), "--method", "greedy", "--target", "0.8"]
+    code, out, err = run(argv, capsys)
+    assert code == 0, err
+    assert "internal error" not in out + err
     assert time.perf_counter() - start < 60

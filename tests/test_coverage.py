@@ -6,6 +6,7 @@ from netcover import (
     UnknownNodeError,
     centrality_rank,
     centrality_rank_select,
+    gen_erdos_renyi,
     greedy_select,
     node_coverage,
     set_coverage,
@@ -139,6 +140,46 @@ def test_lazy_equals_naive_small_ensemble():
         ref = naive_greedy(g, 1.0)
         assert mine.picks == ref.picks
         assert mine.cumulative == ref.cumulative
+
+
+def _count_node_coverage(monkeypatch) -> list[int]:
+    """Count calls of ``node_coverage`` looked up in ``netcover.coverage``."""
+    import netcover.coverage
+
+    calls = [0]
+    original = netcover.coverage.node_coverage
+
+    def counted(g, v):
+        calls[0] += 1
+        return original(g, v)
+
+    monkeypatch.setattr(netcover.coverage, "node_coverage", counted)
+    return calls
+
+
+def test_greedy_gain_evaluations_stay_near_linear(monkeypatch):
+    # flat degrees: a bound-ordered scan rescans most nodes every round
+    g = gen_erdos_renyi(600, 0.0167, 1)
+    calls = _count_node_coverage(monkeypatch)
+    mine = greedy_select(g, 1.0)
+    ref = naive_greedy(g, 1.0)
+    assert mine.picks == ref.picks
+    assert mine.cumulative == ref.cumulative
+    assert calls[0] <= 5 * g.n
+
+
+def test_greedy_equal_fresh_gains_pick_earlier_in_scan():
+    # scan order h (in-degree 4), x (3), b (2).  After h covers x1, x and b
+    # both gain 3 while their stale bounds are 4 and 3; x is earlier in scan
+    # order though its label sorts after b's.
+    edges = [("a1", "h"), ("a2", "h"), ("a3", "h"), ("x1", "h")]
+    edges += [("x1", "x"), ("x2", "x"), ("x3", "x"), ("y1", "b"), ("y2", "b")]
+    g = DirectedGraph.from_edges(edges)
+    res = greedy_select(g, 1.0)
+    assert res.picks[:3] == ("h", "x", "b")
+    assert res.cumulative[:2] == (5 / g.n, 8 / g.n)
+    ref = naive_greedy(g, 1.0)
+    assert (res.picks, res.cumulative) == (ref.picks, ref.cumulative)
 
 
 def test_monotone_and_submodular():

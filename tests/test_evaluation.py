@@ -69,6 +69,15 @@ def test_table_ks_validation():
             coverage_table(g, bad)
 
 
+def test_table_accepts_integral_float_ks():
+    g = star(4)
+    tab = coverage_table(g, [1, 2.0])
+    assert tab == coverage_table(g, [1, 2])
+    assert all(type(k) is int for k in tab.ks)
+    with pytest.raises(ValueError):
+        coverage_table(g, [1, 2.5])
+
+
 def test_table_columns_non_decreasing():
     rng = np.random.default_rng(21)
     for _ in range(10):
