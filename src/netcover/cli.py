@@ -41,7 +41,7 @@ def _warn(*messages: str | None) -> None:
 
 def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
     """Parse the input file; report dropped rows as one stderr warning."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = Path(path).read_text(encoding="utf-8-sig")
     if fmt is None:
         fmt = "json" if path.endswith(".json") else "csv"
     g = parse_edge_list(text, fmt)

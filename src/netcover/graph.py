@@ -1,14 +1,14 @@
 """Immutable directed graphs, text ingestion, and whole-graph statistics.
 
 The graph is stored as a sorted node tuple plus a sorted edge tuple.  At
-construction it also derives, once, the one integer adjacency every traversal
-reads (``index``: label -> position in ``nodes``; ``csr``: read-only numpy
-arrays ``(indptr, indices)`` of each node's out-neighbor positions, ascending)
-and each node's in-neighbor label set, which is the coverage set.  Node labels
-are opaque non-empty strings; every ordering decision downstream (rank
-tie-breaks, serialized output, scan order) falls back on plain lexicographic
-label comparison, so graphs built from the same data behave identically run
-to run.
+construction it also derives, once, the integer adjacency every traversal
+reads: ``index`` (label -> position in ``nodes``) and two read-only numpy CSRs
+``(indptr, indices)``, ``csr`` listing each node's out-neighbor positions and
+``in_csr`` its in-neighbor positions, each row ascending.  Neighbor label sets
+are built from a row on demand.  Node labels are opaque non-empty strings;
+every ordering decision downstream (rank tie-breaks, serialized output, scan
+order) falls back on plain lexicographic label comparison, so graphs built
+from the same data behave identically run to run.
 
 Ingestion dedups edges and drops self-loops, counting both into an
 :class:`IngestReport` carried on the graph (excluded from equality).  A node
@@ -70,7 +70,8 @@ class DirectedGraph:
     #: ``(indptr, indices)``: node ``i``'s out-neighbors are
     #: ``indices[indptr[i]:indptr[i + 1]]``, ascending; read-only ``np.intp``.
     csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _in: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    #: The same layout for in-neighbors: the transpose of ``csr``.
+    in_csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     #: Whole-graph results that analysis modules derive from this immutable
     #: graph, keyed by analysis and computed at most once per graph.
     memo: dict[str, object] = field(
@@ -87,7 +88,6 @@ class DirectedGraph:
             raise ValueError("edges must be sorted and unique; use from_edges()")
         index = {v: i for i, v in enumerate(nodes)}
         tails, heads = [], []
-        incoming: list[list[str]] = [[] for _ in nodes]
         for s, t in edges:
             if s == t:
                 raise ValueError(f"self-loop {s!r}; use from_edges()")
@@ -96,14 +96,11 @@ class DirectedGraph:
                 raise ValueError(f"edge ({s!r}, {t!r}) has an endpoint outside nodes")
             tails.append(i)
             heads.append(j)  # edges are sorted, so each row comes out ascending
-            incoming[j].append(s)
-        indptr = np.zeros(len(nodes) + 1, dtype=np.intp)
-        np.cumsum(np.bincount(tails, minlength=len(nodes)), out=indptr[1:])
-        indices = np.array(heads, dtype=np.intp)
-        indptr.flags.writeable = indices.flags.writeable = False
+        tails = np.array(tails, dtype=np.intp)
+        heads = np.array(heads, dtype=np.intp)
         object.__setattr__(self, "index", index)
-        object.__setattr__(self, "csr", (indptr, indices))
-        object.__setattr__(self, "_in", dict(zip(nodes, map(frozenset, incoming))))
+        object.__setattr__(self, "csr", _csr(tails, heads, len(nodes)))
+        object.__setattr__(self, "in_csr", _csr(heads, tails, len(nodes)))
 
     @classmethod
     def from_edges(
@@ -117,13 +114,10 @@ class DirectedGraph:
         Endpoints of dropped self-loops are still retained as nodes.
         """
         seen: set[tuple[str, str]] = set()
-        node_set: set[str] = set()
+        node_set: set[str] = set(nodes)
         duplicates = 0
         self_loops = 0
         for s, t in edges:
-            for label in (s, t):
-                if not isinstance(label, str) or not label:
-                    raise ValueError(f"node labels must be non-empty strings, got {label!r}")
             node_set.add(s)
             node_set.add(t)
             if s == t:
@@ -133,10 +127,9 @@ class DirectedGraph:
                 duplicates += 1
                 continue
             seen.add((s, t))
-        for label in nodes:
+        for label in node_set:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"node labels must be non-empty strings, got {label!r}")
-            node_set.add(label)
         return cls(
             nodes=tuple(sorted(node_set)),
             edges=tuple(sorted(seen)),
@@ -158,33 +151,39 @@ class DirectedGraph:
     def has_node(self, v: str) -> bool:
         return v in self.index
 
-    def _position(self, v: str) -> int:
+    def _row(self, v: str, csr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        indptr, indices = csr
         try:
-            return self.index[v]
+            i = self.index[v]
         except KeyError:
             raise UnknownNodeError(v) from None
+        return indices[indptr[i] : indptr[i + 1]]
+
+    def _labels(self, row: np.ndarray) -> frozenset[str]:
+        return frozenset(map(self.nodes.__getitem__, row.tolist()))
 
     def in_neighbors(self, v: str) -> frozenset[str]:
-        """Nodes with an edge into ``v``."""
-        try:
-            return self._in[v]
-        except KeyError:
-            raise UnknownNodeError(v) from None
-
-    def _row(self, v: str) -> np.ndarray:
-        indptr, indices = self.csr
-        i = self._position(v)
-        return indices[indptr[i] : indptr[i + 1]]
+        """Nodes with an edge into ``v`` (built on demand from ``in_csr``)."""
+        return self._labels(self._row(v, self.in_csr))
 
     def out_neighbors(self, v: str) -> frozenset[str]:
         """Nodes ``v`` has an edge to (built on demand from ``csr``)."""
-        return frozenset(self.nodes[j] for j in self._row(v).tolist())
+        return self._labels(self._row(v, self.csr))
 
     def in_degree(self, v: str) -> int:
-        return len(self.in_neighbors(v))
+        return len(self._row(v, self.in_csr))
 
     def out_degree(self, v: str) -> int:
-        return len(self._row(v))
+        return len(self._row(v, self.csr))
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(indptr, indices)``: ``cols[e]`` in row ``rows[e]``, in ``e`` order."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = cols[np.argsort(rows, kind="stable")]
+    indptr.flags.writeable = indices.flags.writeable = False
+    return indptr, indices
 
 
 @dataclass(frozen=True)

@@ -327,6 +327,28 @@ def test_input_format_override(tmp_path, capsys):
     assert out.startswith("n=3")
 
 
+@pytest.mark.parametrize(
+    "ext, text, argv",
+    [
+        ("csv", "source,target\na,b\nc,b\n", ["stats"]),
+        ("csv", "source,target\na,b\nc,b\n", ["select", "--method", "in_degree", "--k", "3"]),
+        ("json", '{"edges": [["a", "b"], ["c", "b"]]}', ["stats"]),
+    ],
+    ids=["csv-stats", "csv-select", "json-stats"],
+)
+def test_utf8_byte_order_mark_is_dropped(ext, text, argv, tmp_path, capsys):
+    # spreadsheet "CSV UTF-8" exports start with a BOM; it must not become
+    # part of the first label (and hide the header) or break JSON decoding
+    plain, bom = tmp_path / f"plain.{ext}", tmp_path / f"bom.{ext}"
+    plain.write_bytes(text.encode())
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    code, want, _ = run([argv[0], str(plain), *argv[1:]], capsys)
+    assert code == 0
+    if argv == ["stats"]:
+        assert want.startswith("n=3 m=2 ")
+    assert run([argv[0], str(bom), *argv[1:]], capsys) == (0, want, "")
+
+
 def test_internal_error_exit_3(monkeypatch, two_node, capsys):
     import netcover.cli as cli_mod
 

@@ -141,9 +141,13 @@ def test_graph_is_immutable():
         g.nodes = ("x",)
 
 
-def test_empty_label_rejected():
-    with pytest.raises(ValueError):
-        DirectedGraph.from_edges([("a", "")])
+@pytest.mark.parametrize("bad", ["", 1, None], ids=["empty", "int", "None"])
+@pytest.mark.parametrize("where", ["edge", "nodes"])
+def test_empty_label_rejected(where, bad):
+    edges, nodes = ([("a", bad)], ()) if where == "edge" else ([("a", "b")], [bad])
+    with pytest.raises(ValueError) as exc:
+        DirectedGraph.from_edges(edges, nodes=nodes)
+    assert str(exc.value) == f"node labels must be non-empty strings, got {bad!r}"
 
 
 _UNSORTED_NODES = "nodes must be sorted and unique; use from_edges()"
@@ -208,10 +212,9 @@ def test_fan_degrees():
 
 def test_unknown_node_named_in_error():
     g = graph_of(("a", "b"))
-    with pytest.raises(UnknownNodeError, match="zzz"):
-        g.in_neighbors("zzz")
-    with pytest.raises(UnknownNodeError, match="zzz"):
-        g.out_degree("zzz")
+    for accessor in (g.in_neighbors, g.out_neighbors, g.in_degree, g.out_degree):
+        with pytest.raises(UnknownNodeError, match="zzz"):
+            accessor("zzz")
 
 
 def test_has_node():
@@ -299,22 +302,30 @@ def test_transpose_consistency_and_exact_stats():
         for u, v in g.edges:
             assert u in g.in_neighbors(v)
             assert v in g.out_neighbors(u)
-        # csr rows ascend (betweenness accumulation order depends on it),
-        # spell out exactly the edge list, and agree with out_neighbors and
-        # out_degree; both arrays are read-only, like the graph
-        indptr, indices = g.csr
-        rows = [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(g.n)]
-        assert all(row == sorted(set(row)) for row in rows)
-        assert [
-            (g.nodes[i], g.nodes[j]) for i, row in enumerate(rows) for j in row
-        ] == list(g.edges)
-        for v in g.nodes:
-            row = rows[g.index[v]]
-            assert g.out_neighbors(v) == {g.nodes[j] for j in row}
-            assert g.out_degree(v) == len(row)
-        assert not indptr.flags.writeable and not indices.flags.writeable
-        with pytest.raises(ValueError):
-            indices[:1] = 0
+        # csr and in_csr rows ascend (betweenness accumulation order depends
+        # on it), spell out exactly the edge list and its transpose, and agree
+        # with the neighbor and degree accessors; all four arrays are
+        # read-only, like the graph
+        transposed = sorted((t, s) for s, t in g.edges)
+        for csr, pairs, neighbors, degree in (
+            (g.csr, list(g.edges), g.out_neighbors, g.out_degree),
+            (g.in_csr, transposed, g.in_neighbors, g.in_degree),
+        ):
+            indptr, indices = csr
+            rows = [indices[indptr[i] : indptr[i + 1]].tolist() for i in range(g.n)]
+            assert all(row == sorted(set(row)) for row in rows)
+            assert [
+                (g.nodes[i], g.nodes[j]) for i, row in enumerate(rows) for j in row
+            ] == pairs
+            for v in g.nodes:
+                row = rows[g.index[v]]
+                assert neighbors(v) == {g.nodes[j] for j in row}
+                assert degree(v) == len(row)
+            assert not indptr.flags.writeable and not indices.flags.writeable
+            with pytest.raises(ValueError):
+                indices[:1] = 0
+            with pytest.raises(ValueError):
+                indptr[:1] = 0
         s = graph_stats(g)
         assert s.density == g.m / (g.n * (g.n - 1))
         assert s.avg_degree == 2 * g.m / g.n
