@@ -43,7 +43,7 @@ def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
     """Parse the input file; report dropped rows as one stderr warning."""
     text = Path(path).read_text(encoding="utf-8-sig")
     if fmt is None:
-        fmt = "json" if path.endswith(".json") else "csv"
+        fmt = "json" if path.lower().endswith(".json") else "csv"
     g = parse_edge_list(text, fmt)
     if g.ingest.duplicates or g.ingest.self_loops:
         _warn(

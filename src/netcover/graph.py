@@ -10,7 +10,10 @@ every ordering decision downstream (rank tie-breaks, serialized output, scan
 order) falls back on plain lexicographic label comparison, so graphs built
 from the same data behave identically run to run.
 
-Ingestion dedups edges and drops self-loops, counting both into an
+Canonicalization happens once, on integer positions: ``from_edges`` and the
+constructor both map labels to positions in the sorted node list and decide
+order, duplicates and self-loops on the keys ``tail * n + head``.  Ingestion
+(``from_edges``) dedups edges and drops self-loops, counting both into an
 :class:`IngestReport` carried on the graph (excluded from equality).  A node
 that appears only as an edge target is still a node; isolated nodes survive
 the JSON format, which carries an explicit node list, but not the CSV edge
@@ -23,7 +26,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -84,21 +87,22 @@ class DirectedGraph:
             raise ValueError("nodes must be sorted and unique; use from_edges()")
         if any(not isinstance(v, str) or not v for v in nodes):
             raise ValueError("node labels must be non-empty strings")
-        if any(a >= b for a, b in zip(edges, edges[1:])):
-            raise ValueError("edges must be sorted and unique; use from_edges()")
         index = {v: i for i, v in enumerate(nodes)}
-        tails, heads = [], []
-        for s, t in edges:
-            if s == t:
-                raise ValueError(f"self-loop {s!r}; use from_edges()")
-            i, j = index.get(s), index.get(t)
-            if i is None or j is None:
-                raise ValueError(f"edge ({s!r}, {t!r}) has an endpoint outside nodes")
-            tails.append(i)
-            heads.append(j)  # edges are sorted, so each row comes out ascending
-        tails = np.array(tails, dtype=np.intp)
-        heads = np.array(heads, dtype=np.intp)
+        tails, heads = _positions(edges, index)
+        outside = (tails < 0) | (heads < 0)
+        if outside.any():
+            s, t = edges[outside.argmax()]
+            raise ValueError(f"edge ({s!r}, {t!r}) has an endpoint outside nodes")
+        # nodes are sorted, so the keys order like the label pairs (int64: no
+        # n * n overflow on a 32-bit build)
+        keys = tails.astype(np.int64) * len(nodes) + heads
+        if (keys[1:] <= keys[:-1]).any():
+            raise ValueError("edges must be sorted and unique; use from_edges()")
+        loops = tails == heads
+        if loops.any():
+            raise ValueError(f"self-loop {edges[loops.argmax()][0]!r}; use from_edges()")
         object.__setattr__(self, "index", index)
+        # edges are sorted, so each row comes out ascending
         object.__setattr__(self, "csr", _csr(tails, heads, len(nodes)))
         object.__setattr__(self, "in_csr", _csr(heads, tails, len(nodes)))
 
@@ -113,27 +117,29 @@ class DirectedGraph:
         ``nodes`` adds labels beyond the edge endpoints (isolated nodes).
         Endpoints of dropped self-loops are still retained as nodes.
         """
-        seen: set[tuple[str, str]] = set()
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
         node_set: set[str] = set(nodes)
-        duplicates = 0
-        self_loops = 0
         for s, t in edges:
             node_set.add(s)
             node_set.add(t)
-            if s == t:
-                self_loops += 1
-                continue
-            if (s, t) in seen:
-                duplicates += 1
-                continue
-            seen.add((s, t))
         for label in node_set:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"node labels must be non-empty strings, got {label!r}")
+        labels = sorted(node_set)
+        tails, heads = _positions(edges, {v: i for i, v in enumerate(labels)})
+        kept = np.flatnonzero(tails != heads)
+        keys = tails[kept].astype(np.int64) * len(labels) + heads[kept]
+        order = np.argsort(keys, kind="stable")
+        unique = kept[order[np.diff(keys[order], prepend=-1) != 0]]
+        # the first of each pair as the caller gave it: tuple() returns a tuple
+        # itself, so a large edge list is not copied, and list pairs convert
         return cls(
-            nodes=tuple(sorted(node_set)),
-            edges=tuple(sorted(seen)),
-            ingest=IngestReport(duplicates=duplicates, self_loops=self_loops),
+            nodes=tuple(labels),
+            edges=tuple(map(tuple, map(edges.__getitem__, unique))),
+            ingest=IngestReport(
+                duplicates=len(keys) - len(unique), self_loops=len(edges) - len(keys)
+            ),
         )
 
     # ---- size -------------------------------------------------------------
@@ -175,6 +181,13 @@ class DirectedGraph:
 
     def out_degree(self, v: str) -> int:
         return len(self._row(v, self.csr))
+
+
+def _positions(edges: Sequence, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """``(tails, heads)``: each edge's endpoint positions in ``index``, -1 outside it."""
+    tails = np.fromiter((index.get(s, -1) for s, _ in edges), np.intp, len(edges))
+    heads = np.fromiter((index.get(t, -1) for _, t in edges), np.intp, len(edges))
+    return tails, heads
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -236,21 +249,24 @@ def _parse_csv(text: str) -> DirectedGraph:
     edges: list[tuple[str, str]] = []
     reader = csv.reader(io.StringIO(text))
     first_data_row = True
-    for row in reader:
-        line = reader.line_num
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        cells = [cell.strip() for cell in row]
-        if first_data_row:
-            first_data_row = False
-            if cells[0].casefold() == "source":
+    try:
+        for row in reader:
+            line = reader.line_num
+            cells = [c.strip() for c in row]
+            if not any(cells):
                 continue
-        if len(cells) not in (2, 3):
-            raise ParseError(f"expected 2 or 3 columns, got {len(cells)}", line)
-        s, t = cells[0], cells[1]
-        if not s or not t:
-            raise ParseError("empty node label", line)
-        edges.append((s, t))
+            if first_data_row:
+                first_data_row = False
+                if cells[0].casefold() == "source":
+                    continue
+            if len(cells) not in (2, 3):
+                raise ParseError(f"expected 2 or 3 columns, got {len(cells)}", line)
+            s, t = cells[0], cells[1]
+            if not s or not t:
+                raise ParseError("empty node label", line)
+            edges.append((s, t))
+    except csv.Error as e:  # e.g. a field over csv.field_size_limit()
+        raise ParseError(str(e), reader.line_num) from None
     if not edges:
         raise ParseError("empty graph")
     return DirectedGraph.from_edges(edges)
@@ -263,17 +279,15 @@ def _parse_json(text: str) -> DirectedGraph:
         raise ParseError(f"invalid JSON: {e}") from None
     if not isinstance(doc, dict) or "edges" not in doc:
         raise ParseError('expected a JSON object with an "edges" list')
-    raw_edges = doc["edges"]
-    if not isinstance(raw_edges, list):
+    edges = doc["edges"]
+    if not isinstance(edges, list):
         raise ParseError('"edges" must be a list of [source, target] pairs')
-    edges: list[tuple[str, str]] = []
-    for i, pair in enumerate(raw_edges):
+    for i, pair in enumerate(edges):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ParseError(f"edge {i} is not a [source, target] pair")
         s, t = pair
         if not isinstance(s, str) or not isinstance(t, str) or not s or not t:
             raise ParseError(f"edge {i} labels must be non-empty strings")
-        edges.append((s, t))
     nodes = doc.get("nodes", [])
     if not isinstance(nodes, list):
         raise ParseError('"nodes" must be a list of labels')
@@ -304,5 +318,5 @@ def to_csv(g: DirectedGraph) -> str:
 
 def to_json(g: DirectedGraph) -> str:
     """JSON graph document with sorted node and edge lists (byte-stable)."""
-    doc = {"nodes": list(g.nodes), "edges": [[s, t] for s, t in g.edges]}
+    doc = {"nodes": g.nodes, "edges": g.edges}  # json writes tuples as arrays
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

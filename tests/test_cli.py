@@ -87,6 +87,14 @@ def test_stats_parse_error_reports_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_stats_oversized_csv_field_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "big.csv"
+    p.write_text("a,b\na," + "x" * 200_000 + "\n")
+    code, out, err = run(["stats", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: line 2:")
+
+
 # --- select ---
 
 
@@ -325,6 +333,15 @@ def test_input_format_override(tmp_path, capsys):
     code, out, _ = run(["stats", str(p), "--input-format", "json"], capsys)
     assert code == 0
     assert out.startswith("n=3")
+
+
+def test_json_extension_detection_ignores_case(tmp_path, capsys):
+    lower, upper = tmp_path / "g.json", tmp_path / "g.JSON"
+    for p in (lower, upper):
+        p.write_text('{"edges": [["a", "b"], ["b", "c"]]}')
+    code, want, _ = run(["stats", str(lower)], capsys)
+    assert code == 0 and want.startswith("n=3 m=2 ")
+    assert run(["stats", str(upper)], capsys) == (0, want, "")
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,15 @@ def test_parse_csv_empty_label():
     assert err.value.line == 2
 
 
+def test_parse_csv_oversized_field_reports_line():
+    # csv.Error (a field over csv.field_size_limit()) is not a ValueError, so
+    # it must be re-raised as a ParseError to reach the user as an input error
+    with pytest.raises(ParseError) as err:
+        parse_edge_list("a,b\na," + "x" * 200_000 + "\n", fmt="csv")
+    assert err.value.line == 2
+    assert "field larger than field limit" in str(err.value)
+
+
 def test_parse_csv_empty_input():
     with pytest.raises(ValueError, match="empty graph"):
         parse_edge_list("", fmt="csv")
@@ -133,6 +142,30 @@ def test_from_edges_extra_nodes():
     g = DirectedGraph.from_edges([("a", "b")], nodes=["z", "a"])
     assert g.nodes == ("a", "b", "z")
     assert g.out_degree("z") == 0
+
+
+def test_from_edges_matches_plain_reference():
+    # raw lists in any order, with duplicates, self-loops, isolated nodes and
+    # list pairs, canonicalize exactly like a plain sort/set reference
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        pool = [f"v{i}" for i in range(int(rng.integers(1, 15)))]
+        raw = [
+            (pool[i], pool[j])
+            for i, j in rng.integers(0, len(pool), size=(int(rng.integers(0, 60)), 2))
+        ]
+        raw += raw[: len(raw) // 3]  # guaranteed duplicates
+        raw = [raw[i] for i in rng.permutation(len(raw))]
+        raw = [list(e) if rng.random() < 0.3 else e for e in raw]
+        extra = [f"w{i}" for i in range(int(rng.integers(0, 4)))]
+        g = DirectedGraph.from_edges(raw, nodes=extra)
+        labels = {v for e in raw for v in e} | set(extra)
+        kept = [(s, t) for s, t in raw if s != t]
+        assert g.nodes == tuple(sorted(labels))
+        assert g.edges == tuple(sorted(set(kept)))
+        assert all(type(e) is tuple and len(e) == 2 for e in g.edges)
+        assert g.ingest.self_loops == len(raw) - len(kept)
+        assert g.ingest.duplicates == len(kept) - len(set(kept))
 
 
 def test_graph_is_immutable():
