@@ -14,6 +14,10 @@ The draw streams are part of the contract:
   min(edges_per_node, i) edges to earlier nodes, each target drawn by one
   uniform double against cumulative weights (in-degree + 1), with already
   chosen targets weighted 0.  The +1 keeps zero-in-degree nodes reachable.
+  The target of a draw ``u`` is the first node whose cumulative weight
+  exceeds ``u * total``; it is found by descending a Fenwick tree over the
+  integer weights in O(log n) per draw, which picks exactly the node a
+  cumulative-sum search would.
 """
 
 from __future__ import annotations
@@ -31,12 +35,18 @@ def _labels(n: int) -> list[str]:
     return [f"{i:0{width}d}" for i in range(n)]
 
 
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gen_erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
     """Each ordered pair (u, v), u != v, is an edge independently with prob p."""
     labels = _labels(n)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erdos_renyi needs p in [0, 1], got {p}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     edges: list[tuple[str, str]] = []
     for i, source in enumerate(labels):
         row = rng.random(n)  # row i of the row-major n x n draw stream
@@ -46,26 +56,63 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
 
 
 def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
-    """Sequential arrivals; new nodes point at in-degree-popular targets."""
+    """Sequential arrivals; new nodes point at in-degree-popular targets.
+
+    Targets are found by Fenwick descent over the integer weights
+    (in-degree + 1, or 0 while already chosen by the arriving node) in
+    O(log n) per draw.  The prefix sums are exact ints and Python compares an
+    int with a float exactly, so each draw ``u`` picks the first node whose
+    prefix sum exceeds ``u * total``: the draw stream and the graph are those
+    of a per-draw cumulative-sum search.
+    """
     labels = _labels(n)
     if edges_per_node < 1:
         raise ValueError(
             f"preferential_attachment needs edges_per_node >= 1, got {edges_per_node}"
         )
-    rng = np.random.default_rng(seed)
-    indeg = np.zeros(n, dtype=float)
+    rng = _rng(seed)
+    size = 1 << n.bit_length()  # a power of two > n: the descent needs no bound check
+    tree = [0] * size  # 1-based Fenwick tree over weight
+    weight = [0] * n
+    total = 0
     edges: list[tuple[str, str]] = []
+
+    def add(j: int, delta: int) -> None:
+        pos = j + 1
+        while pos < size:
+            tree[pos] += delta
+            pos += pos & -pos
+
     for i in range(1, n):
-        weights = indeg[:i] + 1.0
-        for _ in range(min(edges_per_node, i)):
-            cum = np.cumsum(weights)
-            r = rng.random() * cum[-1]
-            j = int(np.searchsorted(cum, r, side="right"))
+        add(i - 1, 1)  # node i - 1 arrives with weight 1
+        weight[i - 1] = 1
+        total += 1
+        source = labels[i]
+        chosen: list[tuple[int, int]] = []
+        for u in rng.random(min(edges_per_node, i)).tolist():
+            r = u * total
+            # the largest prefix <= r ends at j, so node j is the first whose
+            # prefix sum exceeds r
+            j = acc = 0
+            step = size >> 1
+            while step:
+                s = acc + tree[j + step]
+                if s <= r:
+                    j += step
+                    acc = s
+                step >>= 1
             if j >= i:  # guard the r == total rounding edge
                 j = i - 1
-            while weights[j] == 0.0:
+            while weight[j] == 0:
                 j -= 1
-            edges.append((labels[i], labels[j]))
-            weights[j] = 0.0
-            indeg[j] += 1.0
+            w = weight[j]
+            edges.append((source, labels[j]))
+            chosen.append((j, w))
+            add(j, -w)
+            weight[j] = 0
+            total -= w
+        for j, w in chosen:  # each chosen target gained one in-edge
+            add(j, w + 1)
+            weight[j] = w + 1
+            total += w + 1
     return DirectedGraph.from_edges(edges, nodes=labels)

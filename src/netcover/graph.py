@@ -26,6 +26,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -317,6 +318,21 @@ def to_csv(g: DirectedGraph) -> str:
 
 
 def to_json(g: DirectedGraph) -> str:
-    """JSON graph document with sorted node and edge lists (byte-stable)."""
-    doc = {"nodes": g.nodes, "edges": g.edges}  # json writes tuples as arrays
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """JSON graph document with sorted node and edge lists (byte-stable).
+
+    The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus
+    a newline.  That call runs the pure-Python encoder (the C one does not
+    indent), so the fixed layout is joined here from labels each encoded once
+    by the C string encoder.
+    """
+    code = dict(zip(g.nodes, map(encode_basestring_ascii, g.nodes)))
+    edges = ",\n".join(
+        f"    [\n      {code[s]},\n      {code[t]}\n    ]" for s, t in g.edges
+    )
+    nodes = ",\n".join(f"    {c}" for c in code.values())
+    return f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)}\n}}\n'
+
+
+def _json_list(items: str) -> str:
+    """An indented JSON array of already-joined ``items``; ``[]`` when empty."""
+    return f"[\n{items}\n  ]" if items else "[]"

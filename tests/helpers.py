@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 from collections import deque
 
 import numpy as np
 
 from netcover import DirectedGraph, gen_erdos_renyi, gen_preferential
+from netcover.generators import _labels
 
 
 def graph_of(*edges: tuple[str, str], nodes: tuple[str, ...] = ()) -> DirectedGraph:
@@ -123,3 +125,33 @@ def scalar_path_centralities(g: DirectedGraph) -> tuple[list[float], list[float]
             total = sum(dist[v] for v in visited)
             closeness[s] = (reached / (n - 1)) * (reached / total)
     return betweenness, closeness
+
+
+def cumsum_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
+    """Reference preferential attachment: one ``cumsum`` and ``searchsorted``
+    per draw over float weights, the O(n * m) loop whose draw stream and
+    picks the Fenwick descent must reproduce."""
+    labels = _labels(n)
+    rng = np.random.default_rng(seed)
+    indeg = np.zeros(n, dtype=float)
+    edges: list[tuple[str, str]] = []
+    for i in range(1, n):
+        weights = indeg[:i] + 1.0
+        for _ in range(min(edges_per_node, i)):
+            cum = np.cumsum(weights)
+            r = rng.random() * cum[-1]
+            j = int(np.searchsorted(cum, r, side="right"))
+            if j >= i:  # guard the r == total rounding edge
+                j = i - 1
+            while weights[j] == 0.0:
+                j -= 1
+            edges.append((labels[i], labels[j]))
+            weights[j] = 0.0
+            indeg[j] += 1.0
+    return DirectedGraph.from_edges(edges, nodes=labels)
+
+
+def dumps_json(g: DirectedGraph) -> str:
+    """Reference ``to_json``: the standard library's indented encoder."""
+    doc = {"nodes": g.nodes, "edges": g.edges}  # json writes tuples as arrays
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"

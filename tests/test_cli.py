@@ -295,6 +295,16 @@ def test_gen_invalid_p(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "model", [["--model", "pa", "--epn", "2"], ["--model", "er", "--p", "0.2"]]
+)
+def test_gen_negative_seed_names_the_seed(model, capsys):
+    code, out, err = run(["gen", *model, "--n", "10", "--seed", "-1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_gen_wrong_parameter_for_model(capsys):
     code, _, _ = run(
         ["gen", "--model", "pa", "--n", "10", "--p", "0.5", "--seed", "1"], capsys

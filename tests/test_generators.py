@@ -1,12 +1,16 @@
+import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from netcover import (
     gen_erdos_renyi,
     gen_preferential,
+    to_csv,
     to_json,
 )
+from helpers import cumsum_preferential
 
 
 # --- parameter validation ---
@@ -23,6 +27,10 @@ def test_generators_validate_ranges():
         gen_erdos_renyi(10, -0.1, 1)
     with pytest.raises(ValueError, match="edges_per_node"):
         gen_preferential(10, 0, 1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        gen_erdos_renyi(10, 0.5, -1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        gen_preferential(10, 2, -1)
 
 
 # --- erdos-renyi ---
@@ -112,3 +120,51 @@ def test_pa_no_duplicate_targets():
     g = gen_preferential(60, 6, 9)
     assert len(set(g.edges)) == g.m
     assert all(u != v for u, v in g.edges)
+
+
+def _dump(g):
+    return to_json(g) + to_csv(g)
+
+
+def test_pa_matches_cumsum_reference():
+    # every pick of the Fenwick descent equals the per-draw cumsum search,
+    # including epn >= n (every earlier node chosen) and the smallest graphs
+    for n in (2, 3, 5, 11, 50, 300):
+        for epn in (1, 2, 3, 10, 60):
+            for seed in range(1, 6):
+                expected = _dump(cumsum_preferential(n, epn, seed))
+                assert _dump(gen_preferential(n, epn, seed)) == expected, (n, epn, seed)
+
+
+class _DyadicDraws:
+    """Stand-in for numpy's generator whose uniforms are k / 64, k = 0..64.
+
+    ``u * total`` is then often an exact integer, so draws land on prefix-sum
+    boundaries (where ``<=`` and ``<`` part ways), on 0, and, with u = 1.0
+    (never drawn by numpy), on the clamped ``r == total`` edge."""
+
+    def __init__(self, seed):
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+
+    def random(self, size=None):
+        return self._rng.integers(0, 65, size) / 64
+
+
+def test_pa_matches_cumsum_reference_on_boundary_draws(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _DyadicDraws)
+    for n, epn in ((5, 3), (11, 2), (50, 3), (300, 10)):
+        for seed in range(1, 6):
+            expected = _dump(cumsum_preferential(n, epn, seed))
+            assert _dump(gen_preferential(n, epn, seed)) == expected, (n, epn, seed)
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((2000, 10, 3), "9c18c5a4c9229e2552d92de794f3d56c3c92f7000948cb409724f48582e2da59"),
+        ((5000, 10, 1), "52a049c2237dfad1c18ce1813918b61b83a12c5ca7afb653460aa865708e9513"),
+    ],
+)
+def test_pa_large_graphs_keep_recorded_digest(args, digest):
+    # sha256 of to_json, recorded from the cumsum generator
+    assert hashlib.sha256(to_json(gen_preferential(*args)).encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,15 @@ from netcover import (
     to_csv,
     to_json,
 )
-from helpers import complete, cycle, graph_of, random_digraph, star
+from helpers import (
+    complete,
+    cycle,
+    dumps_json,
+    graph_of,
+    mixed_digraph,
+    random_digraph,
+    star,
+)
 
 
 # --- CSV parsing ---
@@ -311,6 +321,35 @@ def test_json_round_trip_keeps_isolated_nodes():
     again = parse_edge_list(to_json(g), fmt="json")
     assert again.nodes == g.nodes
     assert again.edges == g.edges
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        DirectedGraph.from_edges([], nodes=["b", "a", "c"]),
+        DirectedGraph.from_edges([("a", "b")], nodes=["lonely"]),
+        DirectedGraph.from_edges(
+            [
+                ("caf\u00e9", 'say "hi"'),
+                ("back\\slash", "tab\tnew\nline"),
+                ("\x01", "\u2603"),
+            ]
+        ),
+    ],
+    ids=["isolated-only", "with-isolated", "escapes"],
+)
+def test_to_json_equals_json_dumps(g):
+    assert to_json(g) == dumps_json(g)
+
+
+def test_to_json_equals_json_dumps_on_mixed_graphs_and_golden():
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        g = mixed_digraph(rng)
+        assert to_json(g) == dumps_json(g)
+    golden = (Path(__file__).parent / "golden" / "gen_pa.json").read_text()
+    g = parse_edge_list(golden, fmt="json")
+    assert to_json(g) == dumps_json(g) == golden
 
 
 def test_round_trip_random_graphs():
