@@ -74,13 +74,14 @@ def to_rank(scores: CentralityScores) -> Rank:
 def degree_centrality(g: DirectedGraph, mode: str = "in") -> CentralityScores:
     """Degree scores; ``mode`` is ``in``, ``out``, or ``total``."""
     if mode == "in":
-        scores = {v: float(g.in_degree(v)) for v in g.nodes}
+        degree = np.diff(g.in_csr[0])
     elif mode == "out":
-        scores = {v: float(g.out_degree(v)) for v in g.nodes}
+        degree = np.diff(g.csr[0])
     elif mode == "total":
-        scores = {v: float(g.in_degree(v) + g.out_degree(v)) for v in g.nodes}
+        degree = np.diff(g.in_csr[0]) + np.diff(g.csr[0])
     else:
         raise ValueError(f"unknown degree mode {mode!r}; expected in, out, or total")
+    scores = dict(zip(g.nodes, degree.astype(float).tolist()))
     return CentralityScores(measure=f"{mode}_degree", scores=scores)
 
 
@@ -250,7 +251,7 @@ def closeness_centrality(g: DirectedGraph) -> CentralityScores:
 
 def _is_acyclic(g: DirectedGraph) -> bool:
     indptr, indices = (a.tolist() for a in g.csr)
-    indeg = [g.in_degree(v) for v in g.nodes]
+    indeg = np.diff(g.in_csr[0]).tolist()
     queue = deque(i for i, d in enumerate(indeg) if d == 0)
     removed = 0
     while queue:
@@ -291,7 +292,7 @@ def eigenvector_centrality(
     n = g.n
 
     if _is_acyclic(g):
-        vec = np.array([g.in_degree(v) for v in g.nodes], dtype=float)
+        vec = np.diff(g.in_csr[0]).astype(float)
         vec /= np.linalg.norm(vec)
         return CentralityScores(
             measure="eigenvector",

@@ -23,6 +23,8 @@ import heapq
 from dataclasses import dataclass, replace
 from typing import Iterable
 
+import numpy as np
+
 from .centrality import Rank
 from .graph import DirectedGraph
 
@@ -101,7 +103,8 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
         raise ValueError("cannot select from an empty graph")
 
     # scan order, in-degree descending then label; sorted, so already a heap
-    ranked = sorted((-(g.in_degree(v) + 1), v) for v in g.nodes)
+    neg_bounds = -1 - np.diff(g.in_csr[0])  # -(in_degree + 1)
+    ranked = sorted(zip(neg_bounds.tolist(), g.nodes))
     heap = [(neg_bound, i, v, -1) for i, (neg_bound, v) in enumerate(ranked)]
     n = g.n
     covered: set[str] = set()

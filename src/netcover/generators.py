@@ -22,6 +22,9 @@ The draw streams are part of the contract:
 
 from __future__ import annotations
 
+from array import array
+from typing import Iterator
+
 import numpy as np
 
 from .graph import DirectedGraph
@@ -33,6 +36,11 @@ def _labels(n: int) -> list[str]:
         raise ValueError(f"n must be >= 2, got {n}")
     width = len(str(n - 1))
     return [f"{i:0{width}d}" for i in range(n)]
+
+
+def _label_pairs(labels: list[str], tails: array, heads: array) -> Iterator[tuple[str, str]]:
+    """The edges ``tails[e] -> heads[e]`` (node positions) as label pairs, lazily."""
+    return zip(map(labels.__getitem__, tails), map(labels.__getitem__, heads))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -47,12 +55,14 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erdos_renyi needs p in [0, 1], got {p}")
     rng = _rng(seed)
-    edges: list[tuple[str, str]] = []
-    for i, source in enumerate(labels):
+    tails, heads = array("q"), array("q")
+    for i in range(n):
         row = rng.random(n)  # row i of the row-major n x n draw stream
         row[i] = np.inf  # the diagonal draw is discarded
-        edges.extend((source, labels[j]) for j in np.flatnonzero(row < p).tolist())
-    return DirectedGraph.from_edges(edges, nodes=labels)
+        targets = np.flatnonzero(row < p).tolist()
+        tails.extend([i] * len(targets))
+        heads.extend(targets)
+    return DirectedGraph.from_edges(_label_pairs(labels, tails, heads), nodes=labels)
 
 
 def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
@@ -75,7 +85,7 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
     tree = [0] * size  # 1-based Fenwick tree over weight
     weight = [0] * n
     total = 0
-    edges: list[tuple[str, str]] = []
+    tails, heads = array("q"), array("q")
 
     def add(j: int, delta: int) -> None:
         pos = j + 1
@@ -87,7 +97,6 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
         add(i - 1, 1)  # node i - 1 arrives with weight 1
         weight[i - 1] = 1
         total += 1
-        source = labels[i]
         chosen: list[tuple[int, int]] = []
         for u in rng.random(min(edges_per_node, i)).tolist():
             r = u * total
@@ -106,7 +115,8 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
             while weight[j] == 0:
                 j -= 1
             w = weight[j]
-            edges.append((source, labels[j]))
+            tails.append(i)
+            heads.append(j)
             chosen.append((j, w))
             add(j, -w)
             weight[j] = 0
@@ -115,4 +125,4 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
             add(j, w + 1)
             weight[j] = w + 1
             total += w + 1
-    return DirectedGraph.from_edges(edges, nodes=labels)
+    return DirectedGraph.from_edges(_label_pairs(labels, tails, heads), nodes=labels)

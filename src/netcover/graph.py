@@ -1,19 +1,23 @@
 """Immutable directed graphs, text ingestion, and whole-graph statistics.
 
-The graph is stored as a sorted node tuple plus a sorted edge tuple.  At
-construction it also derives, once, the integer adjacency every traversal
-reads: ``index`` (label -> position in ``nodes``) and two read-only numpy CSRs
-``(indptr, indices)``, ``csr`` listing each node's out-neighbor positions and
-``in_csr`` its in-neighbor positions, each row ascending.  Neighbor label sets
-are built from a row on demand.  Node labels are opaque non-empty strings;
-every ordering decision downstream (rank tie-breaks, serialized output, scan
-order) falls back on plain lexicographic label comparison, so graphs built
-from the same data behave identically run to run.
+A graph is its sorted node labels plus integer adjacency over their
+positions: ``index`` (label -> position in ``nodes``) and two read-only numpy
+CSRs ``(indptr, indices)``, ``csr`` listing each node's out-neighbor
+positions and ``in_csr`` its in-neighbor positions, each row ascending.
+Every traversal reads the CSRs; labels appear only at the boundary.
+Neighbor label sets are built from a row on demand, ``edges`` (the sorted
+tuple of ``(source, target)`` label pairs) is built from ``csr`` on first
+access, and the serializers walk the CSR with each label encoded once.  Node
+labels are opaque non-empty strings; every ordering decision downstream (rank
+tie-breaks, serialized output, scan order) falls back on plain lexicographic
+label comparison, so graphs built from the same data behave identically run
+to run.
 
-Canonicalization happens once, on integer positions: ``from_edges`` and the
-constructor both map labels to positions in the sorted node list and decide
-order, duplicates and self-loops on the keys ``tail * n + head``.  Ingestion
-(``from_edges``) dedups edges and drops self-loops, counting both into an
+Ingestion (``from_edges``) reads its edge iterable in one streaming pass that
+gives each label a first-seen id, so it never holds a list of label pairs.
+It then sorts the labels once, moves the ids to sorted positions, and decides
+order, duplicates and self-loops on the integer keys ``tail * n + head``.
+Duplicates and self-loops are dropped and counted into an
 :class:`IngestReport` carried on the graph (excluded from equality).  A node
 that appears only as an edge target is still a node; isolated nodes survive
 the JSON format, which carries an explicit node list, but not the CSV edge
@@ -25,9 +29,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,34 +63,38 @@ class IngestReport:
     self_loops: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class DirectedGraph:
     """A simple directed graph (no self-loops, no parallel edges).
 
-    ``nodes`` is sorted lexicographically and ``edges`` is a sorted tuple of
-    ``(source, target)`` pairs; both are canonical, so two graphs over the
-    same data compare equal regardless of input order.  Build instances with
-    :meth:`from_edges` (or the parse functions), which normalize raw edge
-    lists; the constructor itself insists on already-canonical input.
+    ``nodes`` is sorted lexicographically and the edges are held as the
+    integer CSRs ``csr`` and ``in_csr`` over node positions; ``edges`` is
+    their sorted tuple of ``(source, target)`` label pairs, built on first
+    access.  Both are canonical, so two graphs over the same data compare
+    equal regardless of input order.  Build instances with :meth:`from_edges`
+    (or the parse functions), which normalize raw edge lists; the constructor
+    ``DirectedGraph(nodes=..., edges=...)`` itself insists on
+    already-canonical input.
     """
 
     nodes: tuple[str, ...]
-    edges: tuple[tuple[str, str], ...]
-    ingest: IngestReport = field(default_factory=IngestReport, compare=False)
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    ingest: IngestReport
+    index: dict[str, int] = field(repr=False)
     #: ``(indptr, indices)``: node ``i``'s out-neighbors are
     #: ``indices[indptr[i]:indptr[i + 1]]``, ascending; read-only ``np.intp``.
-    csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
     #: The same layout for in-neighbors: the transpose of ``csr``.
-    in_csr: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    in_csr: tuple[np.ndarray, np.ndarray] = field(repr=False)
     #: Whole-graph results that analysis modules derive from this immutable
     #: graph, keyed by analysis and computed at most once per graph.
-    memo: dict[str, object] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    memo: dict[str, object] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        nodes, edges = self.nodes, self.edges
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        edges: Sequence[tuple[str, str]],
+        ingest: IngestReport = IngestReport(),
+    ) -> None:
         if any(a >= b for a, b in zip(nodes, nodes[1:])):
             raise ValueError("nodes must be sorted and unique; use from_edges()")
         if any(not isinstance(v, str) or not v for v in nodes):
@@ -102,10 +113,25 @@ class DirectedGraph:
         loops = tails == heads
         if loops.any():
             raise ValueError(f"self-loop {edges[loops.argmax()][0]!r}; use from_edges()")
-        object.__setattr__(self, "index", index)
+        self._build(nodes, index, tails, heads, ingest)
+
+    def _build(
+        self,
+        nodes: tuple[str, ...],
+        index: dict[str, int],
+        tails: np.ndarray,
+        heads: np.ndarray,
+        ingest: IngestReport,
+    ) -> None:
+        """Store canonical input: the pairs ``(tails[e], heads[e])`` ascending, unique."""
+        setattr_ = object.__setattr__  # the dataclass is frozen
+        setattr_(self, "nodes", nodes)
+        setattr_(self, "ingest", ingest)
+        setattr_(self, "index", index)
         # edges are sorted, so each row comes out ascending
-        object.__setattr__(self, "csr", _csr(tails, heads, len(nodes)))
-        object.__setattr__(self, "in_csr", _csr(heads, tails, len(nodes)))
+        setattr_(self, "csr", _csr(tails, heads, len(nodes)))
+        setattr_(self, "in_csr", _csr(heads, tails, len(nodes)))
+        setattr_(self, "memo", {})
 
     @classmethod
     def from_edges(
@@ -116,32 +142,54 @@ class DirectedGraph:
         """Build a graph from raw edges, deduplicating and dropping self-loops.
 
         ``nodes`` adds labels beyond the edge endpoints (isolated nodes).
-        Endpoints of dropped self-loops are still retained as nodes.
+        Endpoints of dropped self-loops are still retained as nodes.  ``edges``
+        is read once, so it may be any iterable of pairs, a generator
+        included.
         """
-        if not isinstance(edges, (list, tuple)):
-            edges = list(edges)
-        node_set: set[str] = set(nodes)
+        ids: defaultdict[str, int] = defaultdict()
+        ids.default_factory = ids.__len__  # a new label takes the next id
+        for v in nodes:
+            ids[v]  # gives v an id
+        flat = array("q")  # tail id, head id, tail id, ...
+        append = flat.append
         for s, t in edges:
-            node_set.add(s)
-            node_set.add(t)
-        for label in node_set:
+            append(ids[s])
+            append(ids[t])
+        for label in ids:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"node labels must be non-empty strings, got {label!r}")
-        labels = sorted(node_set)
-        tails, heads = _positions(edges, {v: i for i, v in enumerate(labels)})
-        kept = np.flatnonzero(tails != heads)
-        keys = tails[kept].astype(np.int64) * len(labels) + heads[kept]
-        order = np.argsort(keys, kind="stable")
-        unique = kept[order[np.diff(keys[order], prepend=-1) != 0]]
-        # the first of each pair as the caller gave it: tuple() returns a tuple
-        # itself, so a large edge list is not copied, and list pairs convert
-        return cls(
-            nodes=tuple(labels),
-            edges=tuple(map(tuple, map(edges.__getitem__, unique))),
-            ingest=IngestReport(
-                duplicates=len(keys) - len(unique), self_loops=len(edges) - len(keys)
-            ),
+        labels = sorted(ids)
+        index = {v: i for i, v in enumerate(labels)}
+        position = np.fromiter(map(index.__getitem__, ids), np.intp, len(index))
+        tails, heads = position[np.frombuffer(flat, np.int64).reshape(-1, 2)].T
+        # int64 keys: no n * n overflow on a 32-bit build
+        keys = (tails.astype(np.int64) * len(labels) + heads)[tails != heads]
+        keys.sort()
+        unique = keys[np.diff(keys, prepend=-1) != 0]
+        ingest = IngestReport(
+            duplicates=len(keys) - len(unique), self_loops=len(tails) - len(keys)
         )
+        tails, heads = (a.astype(np.intp) for a in np.divmod(unique, len(labels)))
+        g = cls.__new__(cls)
+        g._build(tuple(labels), index, tails, heads, ingest)
+        return g
+
+    @cached_property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Sorted ``(source, target)`` label pairs, built from ``csr`` on first access."""
+        labels = np.array(self.nodes, dtype=object)
+        tails, heads = _edge_positions(self.csr)
+        return tuple(zip(labels[tails].tolist(), labels[heads].tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DirectedGraph):
+            return NotImplemented
+        return self.nodes == other.nodes and all(
+            np.array_equal(a, b) for a, b in zip(self.csr, other.csr)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.nodes, self.m))
 
     # ---- size -------------------------------------------------------------
 
@@ -151,7 +199,7 @@ class DirectedGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.csr[1])
 
     # ---- adjacency --------------------------------------------------------
 
@@ -198,6 +246,25 @@ def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     indices = cols[np.argsort(rows, kind="stable")]
     indptr.flags.writeable = indices.flags.writeable = False
     return indptr, indices
+
+
+def _edge_positions(csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``(tails, heads)``: every edge's endpoint positions, in ``csr`` order."""
+    indptr, indices = csr
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices
+
+
+def _join_edges(g: DirectedGraph, sources: list[str], targets: list[str]) -> str:
+    """``sources[tail] + targets[head]`` for every edge, in ``csr`` order, joined.
+
+    Both halves are gathered by position from per-node strings, so each
+    label is encoded once and no per-edge string is built.
+    """
+    tails, heads = _edge_positions(g.csr)
+    parts = np.empty(2 * len(heads), dtype=object)
+    parts[0::2] = np.array(sources, dtype=object)[tails]
+    parts[1::2] = np.array(targets, dtype=object)[heads]
+    return "".join(parts.tolist())
 
 
 @dataclass(frozen=True)
@@ -247,7 +314,14 @@ def parse_edge_list(text: str, fmt: str = "csv") -> DirectedGraph:
 
 
 def _parse_csv(text: str) -> DirectedGraph:
-    edges: list[tuple[str, str]] = []
+    g = DirectedGraph.from_edges(_csv_pairs(text))
+    if g.n == 0:
+        raise ParseError("empty graph")
+    return g
+
+
+def _csv_pairs(text: str) -> Iterator[tuple[str, str]]:
+    """The ``(source, target)`` cells of each data row, checked as it is read."""
     reader = csv.reader(io.StringIO(text))
     first_data_row = True
     try:
@@ -265,12 +339,9 @@ def _parse_csv(text: str) -> DirectedGraph:
             s, t = cells[0], cells[1]
             if not s or not t:
                 raise ParseError("empty node label", line)
-            edges.append((s, t))
+            yield s, t
     except csv.Error as e:  # e.g. a field over csv.field_size_limit()
         raise ParseError(str(e), reader.line_num) from None
-    if not edges:
-        raise ParseError("empty graph")
-    return DirectedGraph.from_edges(edges)
 
 
 def _parse_json(text: str) -> DirectedGraph:
@@ -307,14 +378,22 @@ def to_csv(g: DirectedGraph) -> str:
     """CSV edge list with header, edges in sorted order (byte-stable).
 
     CSV carries edges only: isolated nodes do not round-trip through this
-    format.  Use :func:`to_json` when the node list matters.
+    format.  Use :func:`to_json` when the node list matters.  Each label is
+    encoded once, as ``csv.writer`` writes it, and the rows are joined from
+    the CSR.
     """
+    cells = [_csv_cell(v) for v in g.nodes]
+    rows = _join_edges(g, [c + "," for c in cells], [c + "\n" for c in cells])
+    return "source,target\n" + rows
+
+
+def _csv_cell(label: str) -> str:
+    """``label`` as one cell of a ``csv.writer`` row (quoted only where needed)."""
+    if not any(c in label for c in ',"\r\n'):
+        return label
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["source", "target"])
-    for s, t in g.edges:
-        writer.writerow([s, t])
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow([label])
+    return buf.getvalue()[:-1]
 
 
 def to_json(g: DirectedGraph) -> str:
@@ -322,14 +401,14 @@ def to_json(g: DirectedGraph) -> str:
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus
     a newline.  That call runs the pure-Python encoder (the C one does not
-    indent), so the fixed layout is joined here from labels each encoded once
-    by the C string encoder.
+    indent), so the fixed layout is joined here, over the CSR, from labels
+    each encoded once by the C string encoder.
     """
-    code = dict(zip(g.nodes, map(encode_basestring_ascii, g.nodes)))
-    edges = ",\n".join(
-        f"    [\n      {code[s]},\n      {code[t]}\n    ]" for s, t in g.edges
-    )
-    nodes = ",\n".join(f"    {c}" for c in code.values())
+    code = list(map(encode_basestring_ascii, g.nodes))
+    edges = _join_edges(
+        g, [f"    [\n      {c},\n      " for c in code], [f"{c}\n    ],\n" for c in code]
+    )[:-2]  # no comma after the last edge
+    nodes = ",\n".join(f"    {c}" for c in code)
     return f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)}\n}}\n'
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netcover import DirectedGraph
 from netcover.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,7 +96,44 @@ def test_stats_oversized_csv_field_is_a_parse_error(tmp_path, capsys):
     assert err.startswith("error: line 2:")
 
 
+def test_stats_malformed_row_mid_stream_names_its_line(tmp_path, capsys):
+    # rows are checked as the parser streams them into the graph builder
+    p = tmp_path / "bad.csv"
+    p.write_text("".join(f"a{i},b{i}\n" for i in range(100)) + "x,y,z,w\nc,d\n")
+    code, out, err = run(["stats", str(p)], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: line 101: expected 2 or 3 columns, got 4\n"
+
+
 # --- select ---
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats"],
+        ["select", "--method", "greedy", "--target", "0.8"],
+        ["select", "--method", "in_degree", "--k", "3"],
+    ],
+    ids=["stats", "greedy", "in_degree"],
+)
+def test_analysis_never_builds_label_pairs(argv, star_graph, monkeypatch, capsys):
+    def built(g):
+        raise AssertionError("DirectedGraph.edges was built")
+
+    monkeypatch.setattr(DirectedGraph, "edges", property(built))
+    code, out, err = run([argv[0], star_graph, *argv[1:]], capsys)
+    assert (code, err) == (0, "")
+
+
+def test_select_markdown_escapes_pipes_in_labels(tmp_path, capsys):
+    p = tmp_path / "pipe.csv"
+    p.write_text("x,a|b\ny,a|b\n")
+    code, out, _ = run(["select", str(p), "--method", "greedy", "--target", "1.0"], capsys)
+    assert code == 0
+    assert out.splitlines()[2] == "| 1    | a\\|b | 100%     |"
+    # every row has the header's four cell borders once escapes are skipped
+    assert {ln.replace("\\|", "").count("|") for ln in out.splitlines()} == {4}
 
 
 def test_select_greedy_star(star_graph, capsys):

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ from netcover import (
     DirectedGraph,
     ParseError,
     UnknownNodeError,
+    gen_preferential,
     graph_stats,
     parse_edge_list,
     to_csv,
@@ -176,6 +179,50 @@ def test_from_edges_matches_plain_reference():
         assert all(type(e) is tuple and len(e) == 2 for e in g.edges)
         assert g.ingest.self_loops == len(raw) - len(kept)
         assert g.ingest.duplicates == len(kept) - len(set(kept))
+
+
+def test_derived_edges_contract_on_mixed_graphs():
+    # a generator of raw pairs (shuffled, with duplicates and self-loops) plus
+    # isolated nodes: edges are the sorted, deduplicated, loop-free pairs, the
+    # ingest counts are exact, and equality sees every edge and node
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        base = mixed_digraph(rng)
+        loops = [(v, v) for v in rng.choice(base.nodes, size=3).tolist()]
+        raw = list(base.edges) + list(base.edges[: base.m // 4]) + loops
+        raw = [raw[i] for i in rng.permutation(len(raw))]
+        isolated = ["~iso1", "~iso2"]
+        g = DirectedGraph.from_edges((pair for pair in raw), nodes=isolated)
+        kept = [(s, t) for s, t in raw if s != t]
+        assert g.nodes == tuple(sorted({v for e in raw for v in e} | set(isolated)))
+        assert g.edges == tuple(sorted(set(kept))) == base.edges
+        assert g.m == len(g.edges)
+        assert g.ingest.self_loops == len(loops)
+        assert g.ingest.duplicates == base.m // 4
+        again = DirectedGraph.from_edges(g.edges, g.nodes)
+        assert again == g and hash(again) == hash(g)
+        assert DirectedGraph(nodes=g.nodes, edges=g.edges) == g
+        if g.m:
+            assert DirectedGraph.from_edges(g.edges[1:], g.nodes) != g
+        assert DirectedGraph.from_edges(g.edges, g.nodes + ("~iso3",)) != g
+        assert g != g.edges
+
+
+def test_parse_memory_is_integer_sized():
+    # the parsed graph keeps integer CSRs and the labels, not a tuple of label
+    # pairs per edge: at ~190 retained bytes per edge that copy failed both
+    # bounds (PA n=5000, m=49,945: 9.2 MiB retained, 16 MiB parse peak)
+    text = to_csv(gen_preferential(5000, 10, 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text, fmt="csv")
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.m == 49_945
+    assert retained < 64 * g.m
+    assert peak < 160 * g.m
 
 
 def test_graph_is_immutable():
