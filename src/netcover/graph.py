@@ -33,6 +33,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Sequence
 
@@ -320,13 +321,77 @@ def _parse_csv(text: str) -> DirectedGraph:
     return g
 
 
+#: Characters per tokenizer slice: whole lines, cut at the first ``\n`` past
+#: this many.  Small, so the split lists stay small next to the text.
+_CSV_SLICE = 2**14
+
+
 def _csv_pairs(text: str) -> Iterator[tuple[str, str]]:
-    """The ``(source, target)`` cells of each data row, checked as it is read."""
-    reader = csv.reader(io.StringIO(text))
+    """The ``(source, target)`` cells of each data row, checked as it is read.
+
+    The text is read in slices of whole lines.  A slice that ``csv.reader``
+    provably reads as rows of plain cells (see :func:`_plain_cells`) is split
+    with ``str.split``; from the first slice that is not, ``csv.reader`` reads
+    the rest, so every error, line number and row rule comes from it.
+    """
+    limit = csv.field_size_limit()
+    pos = line = 0
     first_data_row = True
+    while pos < len(text):
+        end = text.find("\n", pos + _CSV_SLICE - 1) + 1 or len(text)  # no \n: the rest
+        plain = _plain_cells(text[pos:end], limit)
+        if plain is None:
+            break
+        cells, width = plain
+        start = 0
+        if first_data_row:
+            first_data_row = False
+            if cells[0].casefold() == "source":
+                start = width
+        yield from zip(cells[start::width], cells[start + 1 :: width])
+        pos, line = end, line + len(cells) // width
+    yield from _csv_reader_pairs(text[pos:], line, first_data_row)
+
+
+def _plain_cells(chunk: str, limit: int) -> tuple[list[str], int] | None:
+    """``chunk``'s stripped cells, row after row, and the row width; or None.
+
+    None unless ``csv.reader`` reads ``chunk`` as the same rows: no quote or
+    NUL, every ``\\r`` ends a ``\\r\\n``, every line holds 2 or 3 cells (the same
+    number), none of them blank once stripped or over ``limit`` characters.
+    """
+    if '"' in chunk or "\0" in chunk:
+        return None
+    if "\r" in chunk:
+        if chunk.count("\r") != chunk.count("\r\n"):
+            return None
+        chunk = chunk.replace("\r\n", "\n")
+    lines = chunk.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the newline that ends the slice
+    commas = set(map(str.count, lines, repeat(",")))
+    if commas != {1} and commas != {2}:
+        return None
+    width = commas.pop() + 1
+    raw = ",".join(lines).split(",")
+    if len(chunk) > limit and max(map(len, raw)) > limit:
+        return None
+    cells = list(map(str.strip, raw))
+    if "" in cells:
+        return None
+    return cells, width
+
+
+def _csv_reader_pairs(text: str, line: int, first_data_row: bool) -> Iterator[tuple[str, str]]:
+    """The pairs of ``text`` as ``csv.reader`` reads it.
+
+    Error line numbers count on from ``line``, the lines before ``text``; the
+    header rule applies while ``first_data_row`` holds.
+    """
+    reader = csv.reader(io.StringIO(text))
     try:
         for row in reader:
-            line = reader.line_num
+            at = line + reader.line_num
             cells = [c.strip() for c in row]
             if not any(cells):
                 continue
@@ -335,13 +400,13 @@ def _csv_pairs(text: str) -> Iterator[tuple[str, str]]:
                 if cells[0].casefold() == "source":
                     continue
             if len(cells) not in (2, 3):
-                raise ParseError(f"expected 2 or 3 columns, got {len(cells)}", line)
+                raise ParseError(f"expected 2 or 3 columns, got {len(cells)}", at)
             s, t = cells[0], cells[1]
             if not s or not t:
-                raise ParseError("empty node label", line)
+                raise ParseError("empty node label", at)
             yield s, t
     except csv.Error as e:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(str(e), reader.line_num) from None
+        raise ParseError(str(e), line + reader.line_num) from None
 
 
 def _parse_json(text: str) -> DirectedGraph:
@@ -379,8 +444,9 @@ def to_csv(g: DirectedGraph) -> str:
 
     CSV carries edges only: isolated nodes do not round-trip through this
     format.  Use :func:`to_json` when the node list matters.  Each label is
-    encoded once, as ``csv.writer`` writes it, and the rows are joined from
-    the CSR.
+    encoded once and the rows are joined from the CSR.  Raises
+    :class:`ValueError` naming the first label with outer whitespace, which
+    the CSV parser would strip.
     """
     cells = [_csv_cell(v) for v in g.nodes]
     rows = _join_edges(g, [c + "," for c in cells], [c + "\n" for c in cells])
@@ -388,12 +454,15 @@ def to_csv(g: DirectedGraph) -> str:
 
 
 def _csv_cell(label: str) -> str:
-    """``label`` as one cell of a ``csv.writer`` row (quoted only where needed)."""
-    if not any(c in label for c in ',"\r\n'):
-        return label
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([label])
-    return buf.getvalue()[:-1]
+    """``label`` as one CSV cell, quoted (quotes doubled) only if it holds ``,"\\r\\n``."""
+    if label != label.strip():
+        raise ValueError(
+            f"CSV cannot carry the label {label!r}: its outer whitespace would be "
+            "stripped on reading; use to_json()"
+        )
+    if any(c in label for c in ',"\r\n'):
+        return '"' + label.replace('"', '""') + '"'
+    return label
 
 
 def to_json(g: DirectedGraph) -> str:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netcover import DirectedGraph
+from netcover import DirectedGraph, gen_preferential, graph, to_csv
 from netcover.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -103,6 +103,36 @@ def test_stats_malformed_row_mid_stream_names_its_line(tmp_path, capsys):
     code, out, err = run(["stats", str(p)], capsys)
     assert (code, out) == (2, "")
     assert err == "error: line 101: expected 2 or 3 columns, got 4\n"
+
+
+def test_line_endings_and_quoting_do_not_change_output(tmp_path, monkeypatch, capsys):
+    # LF and CRLF copies are split by the str.split tokenizer (the CLI reads
+    # with universal newlines), the all-quoted copy is read by csv.reader:
+    # the output must not tell them apart
+    handed = []  # characters each run leaves to csv.reader
+
+    def reader_pairs(text, line, first_data_row):
+        handed.append(len(text))
+        return csv_reader_pairs(text, line, first_data_row)
+
+    csv_reader_pairs = graph._csv_reader_pairs
+    monkeypatch.setattr(graph, "_csv_reader_pairs", reader_pairs)
+    lf = to_csv(gen_preferential(2000, 3, 5))
+    copies = {
+        "lf.csv": lf,
+        "crlf.csv": lf.replace("\n", "\r\n"),
+        "quoted.csv": "".join('"' + r.replace(",", '","') + '"\n' for r in lf.split()),
+    }
+    outputs = []
+    for name, text in copies.items():
+        p = tmp_path / name
+        p.write_bytes(text.encode())
+        for argv in (["stats"], ["select", "--method", "greedy", "--target", "0.8"]):
+            code, out, err = run([argv[0], str(p), *argv[1:]], capsys)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+    assert outputs[0::2] == [outputs[0]] * 3 and outputs[1::2] == [outputs[1]] * 3
+    assert handed[:4] == [0] * 4 and min(handed[4:]) > len(lf)
 
 
 # --- select ---

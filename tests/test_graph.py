@@ -1,10 +1,13 @@
+import csv
 import gc
+import re
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from netcover import graph
 from netcover import (
     DirectedGraph,
     ParseError,
@@ -93,6 +96,69 @@ def test_parse_csv_empty_input():
 def test_parse_unknown_format():
     with pytest.raises(ValueError):
         parse_edge_list("a,b", fmt="tsv")
+
+
+def _outcome(pairs):
+    """The pairs a CSV pair stream yields, or the text of its ParseError."""
+    try:
+        return list(pairs)
+    except ParseError as e:
+        return str(e)
+
+
+_CSV_TOKENS = [
+    "a", "\u00e9", ",", "\n", "\r", "\r\n", '"', "\0", " ", "\t", "source", "Source,"
+]
+#: one flaw a mostly clean row may carry, each sending its slice to csv.reader
+_ROW_FLAWS = ["", ",x", ",x,y", " , ", '"q"', "q\rq", "q\0", "\n", "\n\n", "x" * 12]
+
+
+def _random_csv_text(rng: np.random.Generator) -> str:
+    """Either token soup or a mostly clean edge list with an occasional flaw."""
+    if rng.random() < 0.4:
+        return "".join(rng.choice(_CSV_TOKENS, size=rng.integers(0, 25)))
+    width = int(rng.integers(2, 4))
+    newline = "\r\n" if rng.random() < 0.3 else "\n"
+    rows = [["source", "target", "w"][:width]] if rng.random() < 0.3 else []
+    for _ in range(rng.integers(1, 15)):
+        cells = [
+            "".join(rng.choice(["a", "b", "\u00e9", " "], size=rng.integers(1, 4)))
+            for _ in range(width)
+        ]
+        if rng.random() < 0.08:
+            cells[-1] += str(rng.choice(_ROW_FLAWS))
+        rows.append(cells)
+    return newline.join(map(",".join, rows)) + (newline if rng.random() < 0.7 else "")
+
+
+def test_csv_tokenizer_matches_csv_reader(monkeypatch):
+    # the str.split fast path must read every text exactly as the csv.reader
+    # loop run from line 0 does: the same pairs, or the same error on the same
+    # line; slices of 1-13 characters put slice boundaries everywhere
+    handed = []  # characters left to csv.reader in each case
+
+    def reader_pairs(text, line, first_data_row):
+        handed.append(len(text))
+        return csv_reader_pairs(text, line, first_data_row)
+
+    csv_reader_pairs = graph._csv_reader_pairs
+    monkeypatch.setattr(graph, "_csv_reader_pairs", reader_pairs)
+    rng = np.random.default_rng(2024)
+    texts = ["c\ncSource,c,a", "a,b\r\nc,d\r", " a , b \n\nb,c\n", "source\na,b\n"]
+    texts += [_random_csv_text(rng) for _ in range(3000)]
+    limit = csv.field_size_limit()
+    fast = mixed = 0
+    try:
+        for i, text in enumerate(texts):
+            monkeypatch.setattr(graph, "_CSV_SLICE", int(rng.integers(1, 14)))
+            csv.field_size_limit(int(rng.integers(1, 9)) if i % 5 == 0 else limit)
+            expected = _outcome(csv_reader_pairs(text, 0, True))
+            assert _outcome(graph._csv_pairs(text)) == expected, repr(text)
+            fast += handed[-1] == 0 < len(text)
+            mixed += 0 < handed[-1] < len(text)
+    finally:
+        csv.field_size_limit(limit)
+    assert fast > 300 and mixed > 300  # both paths and the hand-over ran
 
 
 # --- JSON parsing ---
@@ -410,6 +476,41 @@ def test_round_trip_random_graphs():
             assert again.edges == g.edges
             if fmt == "json":
                 assert again.nodes == g.nodes
+
+
+_LABEL_ALPHABET = [
+    "a", "b", "\u00e9", "\u2603", "\r", "\n", '"', ",", "|", " ", "\t", "\x0c", "\x85"
+]
+
+
+def test_to_csv_round_trips_or_refuses():
+    # CSV strips every cell, so to_csv refuses a label with outer whitespace
+    # (naming the first); every other label, \r included, reads back as written
+    g = graph_of(("cr\rx", 'q"t'), ("cr\rx", "a,b"))
+    assert to_csv(g) == 'source,target\n"cr\rx","a,b"\n"cr\rx","q""t"\n'
+    rng = np.random.default_rng(19)
+    refused = carried = 0
+    for _ in range(400):
+        labels = [
+            "".join(rng.choice(_LABEL_ALPHABET, size=rng.integers(1, 5))) for _ in range(6)
+        ]
+        labels = [v.strip() or v if rng.random() < 0.9 else v for v in labels]
+        ends = rng.integers(0, 6, size=(rng.integers(1, 12), 2))
+        edges = [(labels[i], labels[j]) for i, j in ends]
+        g = DirectedGraph.from_edges(edges, nodes=labels[:2])
+        assert parse_edge_list(to_json(g), fmt="json") == g
+        if g.m == 0:
+            continue  # csv cannot carry a graph without edges
+        outer = [v for v in g.nodes if v != v.strip()]
+        if outer:
+            with pytest.raises(ValueError, match=re.escape(repr(outer[0]))):
+                to_csv(g)
+            refused += 1
+        else:
+            without_isolated = DirectedGraph.from_edges(g.edges)
+            assert parse_edge_list(to_csv(g), fmt="csv") == without_isolated
+            carried += 1
+    assert refused > 50 and carried > 50
 
 
 def test_transpose_consistency_and_exact_stats():
