@@ -41,7 +41,9 @@ def _warn(*messages: str | None) -> None:
 
 def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
     """Parse the input file; report dropped rows as one stderr warning."""
-    text = Path(path).read_text(encoding="utf-8-sig")
+    # untranslated line ends: a \r inside a quoted CSV cell survives
+    with open(path, encoding="utf-8-sig", newline="") as f:
+        text = f.read()
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"
     g = parse_edge_list(text, fmt)

@@ -13,7 +13,8 @@ tie-breaks, serialized output, scan order) falls back on plain lexicographic
 label comparison, so graphs built from the same data behave identically run
 to run.
 
-Ingestion (``from_edges``) reads its edge iterable in one streaming pass that
+``DirectedGraph.from_edges`` is the only constructor; the parsers and the
+generators feed it.  It reads its edge iterable in one streaming pass that
 gives each label a first-seen id, so it never holds a list of label pairs.
 It then sorts the labels once, moves the ids to sorted positions, and decides
 order, duplicates and self-loops on the integer keys ``tail * n + head``.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -72,10 +73,9 @@ class DirectedGraph:
     integer CSRs ``csr`` and ``in_csr`` over node positions; ``edges`` is
     their sorted tuple of ``(source, target)`` label pairs, built on first
     access.  Both are canonical, so two graphs over the same data compare
-    equal regardless of input order.  Build instances with :meth:`from_edges`
-    (or the parse functions), which normalize raw edge lists; the constructor
-    ``DirectedGraph(nodes=..., edges=...)`` itself insists on
-    already-canonical input.
+    equal regardless of input order.  :meth:`from_edges` (which the parse
+    functions call) is the only constructor and the only code that sets these
+    fields; ``DirectedGraph(...)`` itself takes no arguments.
     """
 
     nodes: tuple[str, ...]
@@ -89,50 +89,6 @@ class DirectedGraph:
     #: Whole-graph results that analysis modules derive from this immutable
     #: graph, keyed by analysis and computed at most once per graph.
     memo: dict[str, object] = field(repr=False)
-
-    def __init__(
-        self,
-        nodes: tuple[str, ...],
-        edges: Sequence[tuple[str, str]],
-        ingest: IngestReport = IngestReport(),
-    ) -> None:
-        if any(a >= b for a, b in zip(nodes, nodes[1:])):
-            raise ValueError("nodes must be sorted and unique; use from_edges()")
-        if any(not isinstance(v, str) or not v for v in nodes):
-            raise ValueError("node labels must be non-empty strings")
-        index = {v: i for i, v in enumerate(nodes)}
-        tails, heads = _positions(edges, index)
-        outside = (tails < 0) | (heads < 0)
-        if outside.any():
-            s, t = edges[outside.argmax()]
-            raise ValueError(f"edge ({s!r}, {t!r}) has an endpoint outside nodes")
-        # nodes are sorted, so the keys order like the label pairs (int64: no
-        # n * n overflow on a 32-bit build)
-        keys = tails.astype(np.int64) * len(nodes) + heads
-        if (keys[1:] <= keys[:-1]).any():
-            raise ValueError("edges must be sorted and unique; use from_edges()")
-        loops = tails == heads
-        if loops.any():
-            raise ValueError(f"self-loop {edges[loops.argmax()][0]!r}; use from_edges()")
-        self._build(nodes, index, tails, heads, ingest)
-
-    def _build(
-        self,
-        nodes: tuple[str, ...],
-        index: dict[str, int],
-        tails: np.ndarray,
-        heads: np.ndarray,
-        ingest: IngestReport,
-    ) -> None:
-        """Store canonical input: the pairs ``(tails[e], heads[e])`` ascending, unique."""
-        setattr_ = object.__setattr__  # the dataclass is frozen
-        setattr_(self, "nodes", nodes)
-        setattr_(self, "ingest", ingest)
-        setattr_(self, "index", index)
-        # edges are sorted, so each row comes out ascending
-        setattr_(self, "csr", _csr(tails, heads, len(nodes)))
-        setattr_(self, "in_csr", _csr(heads, tails, len(nodes)))
-        setattr_(self, "memo", {})
 
     @classmethod
     def from_edges(
@@ -172,7 +128,14 @@ class DirectedGraph:
         )
         tails, heads = (a.astype(np.intp) for a in np.divmod(unique, len(labels)))
         g = cls.__new__(cls)
-        g._build(tuple(labels), index, tails, heads, ingest)
+        setattr_ = object.__setattr__  # the dataclass is frozen
+        setattr_(g, "nodes", tuple(labels))
+        setattr_(g, "ingest", ingest)
+        setattr_(g, "index", index)
+        # the keys are sorted, so each row comes out ascending
+        setattr_(g, "csr", _csr(tails, heads, len(labels)))
+        setattr_(g, "in_csr", _csr(heads, tails, len(labels)))
+        setattr_(g, "memo", {})
         return g
 
     @cached_property
@@ -204,9 +167,6 @@ class DirectedGraph:
 
     # ---- adjacency --------------------------------------------------------
 
-    def has_node(self, v: str) -> bool:
-        return v in self.index
-
     def _row(self, v: str, csr: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         indptr, indices = csr
         try:
@@ -231,13 +191,6 @@ class DirectedGraph:
 
     def out_degree(self, v: str) -> int:
         return len(self._row(v, self.csr))
-
-
-def _positions(edges: Sequence, index: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
-    """``(tails, heads)``: each edge's endpoint positions in ``index``, -1 outside it."""
-    tails = np.fromiter((index.get(s, -1) for s, _ in edges), np.intp, len(edges))
-    heads = np.fromiter((index.get(t, -1) for _, t in edges), np.intp, len(edges))
-    return tails, heads
 
 
 def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +341,7 @@ def _csv_reader_pairs(text: str, line: int, first_data_row: bool) -> Iterator[tu
     Error line numbers count on from ``line``, the lines before ``text``; the
     header rule applies while ``first_data_row`` holds.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))  # \r, \n and \r\n end a line
     try:
         for row in reader:
             at = line + reader.line_num

@@ -2,8 +2,11 @@
 
 Markdown rounds the way the evaluation tables are usually read (whole
 percent for coverage, three decimals for correlations); csv and json keep
-full float precision.  All emitters sort keys and fix column order, so
-identical inputs produce byte-identical output.
+full float precision.  Single records (stats, the Pareto point) go through
+one record emitter and row tables (selections, coverage tables) through one
+table emitter; only the correlation matrix, whose markdown is the transpose
+of its csv, is laid out on its own.  JSON sorts keys and every column order
+is fixed, so identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import asdict
 from typing import Sequence
 
 from .coverage import SelectionResult
@@ -54,78 +58,68 @@ def pct_whole(x: float) -> str:
     return f"{x * 100:.0f}%"
 
 
-def render_stats(stats: GraphStats, fmt: str = "markdown") -> str:
+def _emit_record(fmt: str, fields: dict[str, object], **markdown: str) -> str:
+    """One record: a markdown ``key=value`` line, a CSV header and row, or a JSON object.
+
+    ``markdown`` holds the rounded markdown text of some fields; the others
+    print as they are.
+    """
     _check_format(fmt)
     if fmt == "markdown":
-        return (
-            f"n={stats.n} m={stats.m} "
-            f"density={stats.density * 100:.1f}% "
-            f"avg_degree={stats.avg_degree:.2f}\n"
-        )
+        return " ".join(f"{k}={markdown.get(k, v)}" for k, v in fields.items()) + "\n"
     if fmt == "csv":
-        return _csv_rows(
-            [
-                ["n", "m", "density", "avg_degree"],
-                [stats.n, stats.m, repr(stats.density), repr(stats.avg_degree)],
-            ]
-        )
-    return _json_doc(
-        {
-            "n": stats.n,
-            "m": stats.m,
-            "density": stats.density,
-            "avg_degree": stats.avg_degree,
-        }
+        return _csv_rows([list(fields), list(fields.values())])
+    return _json_doc(fields)
+
+
+def _emit_table(
+    fmt: str, header: Sequence[str], rows: Sequence[Sequence[object]], doc: object
+) -> str:
+    """``rows`` as a markdown table or a CSV header and rows; JSON writes ``doc``.
+
+    Markdown shows a float cell (always a coverage fraction) as a whole percent.
+    """
+    _check_format(fmt)
+    if fmt == "markdown":
+        cells = [
+            [pct_whole(c) if isinstance(c, float) else str(c) for c in row] for row in rows
+        ]
+        return _md_table(header, cells)
+    if fmt == "csv":
+        return _csv_rows([header, *rows])
+    return _json_doc(doc)
+
+
+def render_stats(stats: GraphStats, fmt: str = "markdown") -> str:
+    return _emit_record(
+        fmt,
+        asdict(stats),
+        density=f"{stats.density * 100:.1f}%",
+        avg_degree=f"{stats.avg_degree:.2f}",
     )
 
 
 def render_selection(sel: SelectionResult, fmt: str = "markdown") -> str:
-    _check_format(fmt)
-    if fmt == "markdown":
-        rows = [
-            [str(i + 1), node, pct_whole(cov)]
-            for i, (node, cov) in enumerate(zip(sel.picks, sel.cumulative))
-        ]
-        return _md_table(["rank", "node", "coverage"], rows)
-    if fmt == "csv":
-        rows: list[Sequence[object]] = [["rank", "node", "coverage"]]
-        rows.extend(
-            [i + 1, node, repr(cov)]
-            for i, (node, cov) in enumerate(zip(sel.picks, sel.cumulative))
-        )
-        return _csv_rows(rows)
-    return _json_doc(
-        {
-            "method": sel.method,
-            "target": sel.target,
-            "picks": list(sel.picks),
-            "cumulative": list(sel.cumulative),
-        }
-    )
+    rows = [[i + 1, v, cov] for i, (v, cov) in enumerate(zip(sel.picks, sel.cumulative))]
+    doc = {
+        "method": sel.method,
+        "target": sel.target,
+        "picks": list(sel.picks),
+        "cumulative": list(sel.cumulative),
+    }
+    return _emit_table(fmt, ["rank", "node", "coverage"], rows, doc)
 
 
 def render_table(table: CoverageTable, fmt: str = "markdown") -> str:
-    _check_format(fmt)
-    if fmt == "markdown":
-        rows = [
-            [str(k)] + [pct_whole(table.columns[m][i]) for m in table.methods]
-            for i, k in enumerate(table.ks)
-        ]
-        return _md_table(["k", *table.methods], rows)
-    if fmt == "csv":
-        rows: list[Sequence[object]] = [["k", *table.methods]]
-        rows.extend(
-            [k] + [repr(table.columns[m][i]) for m in table.methods]
-            for i, k in enumerate(table.ks)
-        )
-        return _csv_rows(rows)
-    return _json_doc(
-        {
-            "ks": list(table.ks),
-            "methods": list(table.methods),
-            "columns": {m: list(vals) for m, vals in table.columns.items()},
-        }
-    )
+    rows = [
+        [k] + [table.columns[m][i] for m in table.methods] for i, k in enumerate(table.ks)
+    ]
+    doc = {
+        "ks": list(table.ks),
+        "methods": list(table.methods),
+        "columns": {m: list(vals) for m, vals in table.columns.items()},
+    }
+    return _emit_table(fmt, ["k", *table.methods], rows, doc)
 
 
 def render_matrix(matrix: RankCorrelationMatrix, fmt: str = "markdown") -> str:
@@ -137,36 +131,15 @@ def render_matrix(matrix: RankCorrelationMatrix, fmt: str = "markdown") -> str:
             for m in methods
         ]
         return _md_table(["reference", *methods], [[matrix.reference, *cells]])
-    if fmt == "csv":
-        rows: list[Sequence[object]] = [["method", "spearman_rho"]]
-        rows.extend(
-            [m, "" if matrix.entries[m] is None else repr(matrix.entries[m])]
-            for m in methods
-        )
-        return _csv_rows(rows)
+    if fmt == "csv":  # csv.writer writes None as an empty cell
+        return _csv_rows([["method", "spearman_rho"], *matrix.entries.items()])
     return _json_doc({"reference": matrix.reference, "entries": matrix.entries})
 
 
 def render_pareto(point: ParetoPoint, fmt: str = "markdown") -> str:
-    _check_format(fmt)
-    if fmt == "markdown":
-        return (
-            f"method={point.method} k={point.k} "
-            f"node_fraction={point.node_fraction * 100:.1f}% "
-            f"coverage={pct_whole(point.coverage)}\n"
-        )
-    if fmt == "csv":
-        return _csv_rows(
-            [
-                ["method", "k", "node_fraction", "coverage"],
-                [point.method, point.k, repr(point.node_fraction), repr(point.coverage)],
-            ]
-        )
-    return _json_doc(
-        {
-            "method": point.method,
-            "k": point.k,
-            "node_fraction": point.node_fraction,
-            "coverage": point.coverage,
-        }
+    return _emit_record(
+        fmt,
+        asdict(point),
+        node_fraction=f"{point.node_fraction * 100:.1f}%",
+        coverage=pct_whole(point.coverage),
     )

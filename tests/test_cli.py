@@ -106,9 +106,9 @@ def test_stats_malformed_row_mid_stream_names_its_line(tmp_path, capsys):
 
 
 def test_line_endings_and_quoting_do_not_change_output(tmp_path, monkeypatch, capsys):
-    # LF and CRLF copies are split by the str.split tokenizer (the CLI reads
-    # with universal newlines), the all-quoted copy is read by csv.reader:
-    # the output must not tell them apart
+    # LF and CRLF copies are split by the str.split tokenizer (which takes
+    # \r\n as a line end), the all-quoted copy is read by csv.reader: the
+    # output must not tell them apart
     handed = []  # characters each run leaves to csv.reader
 
     def reader_pairs(text, line, first_data_row):
@@ -133,6 +133,19 @@ def test_line_endings_and_quoting_do_not_change_output(tmp_path, monkeypatch, ca
             outputs.append(out)
     assert outputs[0::2] == [outputs[0]] * 3 and outputs[1::2] == [outputs[1]] * 3
     assert handed[:4] == [0] * 4 and min(handed[4:]) > len(lf)
+
+
+def test_quoted_carriage_return_survives_the_cli(tmp_path, capsys):
+    # the file's text reaches the parser untranslated: with universal
+    # newlines the quoted label came back as "cr\nx"
+    g = DirectedGraph.from_edges([("cr\rx", "hub"), ("a", "hub"), ("hub", "cr\rx")])
+    p = tmp_path / "cr.csv"
+    p.write_bytes(to_csv(g).encode())
+    code, out, err = run(
+        ["select", str(p), "--method", "in_degree", "--k", "3", "--format", "json"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert sorted(json.loads(out)["picks"]) == sorted(g.nodes) == ["a", "cr\rx", "hub"]
 
 
 # --- select ---
