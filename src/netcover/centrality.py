@@ -19,12 +19,29 @@ arrays (:func:`path_centralities`): numpy BFS trees for a block of sources
 side by side, level by level, with every floating-point sum taken in the
 order of the classic one-source-at-a-time loop, so the scores do not depend
 on the block size.
+
+The sources fall into contiguous chunks of ``_BLOCK_BUDGET // n`` (each
+chunk's dependency rows are at most 2**16 floats, 512 KiB).  The calling
+process sweeps the first chunk and projects the edges it expanded to all n
+sources.  When that reaches ``_FORK_MIN_VISITS`` (2**22), ``os.fork`` and
+``os.sched_getaffinity`` exist, the mask holds more than one CPU and no other
+Python thread runs, the remaining chunks go round-robin to the CPUs of the
+affinity mask: this process and forked children, which send their chunks
+back over pipes.  This process still adds every dependency row in ascending
+source order, so the scores are bit for bit those of one process, and
+``taskset -c 0`` changes only the wall time.  Otherwise the sweep stays
+serial.
 """
 
 from __future__ import annotations
 
+import os
+import signal
+import threading
+import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable, NoReturn
 
 import numpy as np
 
@@ -89,35 +106,44 @@ def degree_centrality(g: DirectedGraph, mode: str = "in") -> CentralityScores:
 #: busiest BFS level expands about this many edges.  The first block assumes
 #: one level may hold every edge (budget // max(m, n) sources); each later
 #: block scales by the busiest level of the block before, so graphs whose
-#: BFS trees stay small batch many more sources.
+#: BFS trees stay small batch many more sources.  A chunk, the unit of work
+#: one process sweeps and hands over, holds budget // n sources, so its
+#: dependency rows are at most this many floats.
 _BLOCK_BUDGET = 2**16
 
+#: The sweep forks worker processes only when its first chunk, projected to
+#: all n sources, expands at least this many edges: below it the fork and the
+#: pipe cost more than the second CPU saves.
+_FORK_MIN_VISITS = 2**22
 
-def _path_sweep(
-    g: DirectedGraph, with_paths: bool
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Betweenness (``None`` unless ``with_paths``) and closeness, by node index.
+# Python 3.12+ warns on fork while numpy's BLAS pool thread runs; the workers
+# call no BLAS, and OpenBLAS registers its own atfork handlers.
+_FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+
+
+def _blocks(g: DirectedGraph, with_paths: bool, lo: int, hi: int, block: int):
+    """Sweep sources ``lo..hi-1`` a block at a time, in ascending order.
 
     Runs Brandes' algorithm over ``g.csr`` for a block of B sources at once,
     node v of source b keyed ``b * n + v``.  The forward BFS is
     level-synchronous and keeps each source's FIFO discovery order; it
     records the shortest-path DAG edges of each level.  The backward pass
     feeds each node's dependency contributions to ``np.bincount`` in the
-    reversed discovery order of its children, and sources are added to the
-    totals one by one, ascending, so every floating-point sum runs in the
-    order of the one-source-at-a-time loop.  Path counts sigma are float64,
+    reversed discovery order of its children.  Path counts sigma are float64,
     exact below 2**53.
+
+    Yields ``(sources, reached, closeness, rows, visits, block)`` per block:
+    the closeness of the ``reached`` sources (those reaching any node), the
+    block's B x n dependency rows (``None`` unless ``with_paths``), the edges
+    its BFS expanded, and the size of the next block.
     """
     n = g.n
     indptr, indices = g.csr
-    betweenness = np.zeros(n)
-    closeness = np.zeros(n)
-    block = max(1, _BLOCK_BUDGET // max(g.m, n, 1))
-    lo = 0
-    while lo < n:
-        sources = np.arange(lo, min(lo + block, n))
+    while lo < hi:
+        sources = np.arange(lo, min(lo + block, hi))
         lo += sources.size
         peak = 1  # edges expanded by the busiest level
+        visits = 0
         size = sources.size * n
         frontier = np.arange(sources.size) * n + sources
         dist = np.full(size, -1, dtype=np.intp)
@@ -139,6 +165,7 @@ def _path_sweep(
             head = indices[pos]
             head += np.repeat(frontier - v, deg)
             peak = max(peak, head.size)
+            visits += head.size
             # flatnonzero + take: much faster than a boolean mask index here.
             fresh = np.flatnonzero(dist[head] < 0)
             if not fresh.size:
@@ -167,8 +194,9 @@ def _path_sweep(
         block = max(1, min(_BLOCK_BUDGET // n, _BLOCK_BUDGET * sources.size // peak))
         some = np.flatnonzero(reached)
         r = reached[some]
-        closeness[sources[some]] = (r / (n - 1)) * (r / total[some])
+        closeness = (r / (n - 1)) * (r / total[some])
         if not with_paths:
+            yield sources, sources[some], closeness, None, visits, block
             continue
 
         delta = np.zeros(size)
@@ -186,10 +214,168 @@ def _path_sweep(
                 first[tail], weights=sigma[tail] * coeff[rank], minlength=parents.size
             )
         delta[levels[0]] = 0.0
-        for dependency in delta.reshape(sources.size, n):
-            betweenness += dependency
+        rows = delta.reshape(sources.size, n)
+        yield sources, sources[some], closeness, rows, visits, block
 
+
+def _path_sweep(
+    g: DirectedGraph, with_paths: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """Betweenness (``None`` unless ``with_paths``) and closeness, by node index.
+
+    Sources are swept in ascending order by :func:`_blocks`, and each
+    source's dependency row is added to the totals one by one, so every
+    floating-point sum runs in the order of the one-source-at-a-time loop.
+    This process sweeps the first chunk; if that projects to at least
+    ``_FORK_MIN_VISITS`` edge visits, the process is the only thread and may
+    run on more than one CPU, the remaining chunks go to :func:`_fan_out`.
+    """
+    n = g.n
+    betweenness = np.zeros(n)
+    closeness = np.zeros(n)
+
+    def take(reached, values, rows):
+        nonlocal betweenness
+        closeness[reached] = values
+        if rows is not None:
+            for dependency in rows:
+                betweenness += dependency
+
+    chunk = max(1, _BLOCK_BUDGET // max(n, 1))
+    blocks = _blocks(g, with_paths, 0, n, max(1, _BLOCK_BUDGET // max(g.m, n, 1)))
+    lo = visits = 0
+    for sources, reached, values, rows, expanded, block in blocks:
+        take(reached, values, rows)
+        lo += sources.size
+        visits += expanded
+        if lo >= chunk:
+            break
+    workers = _workers(visits * n / max(lo, 1), -(-(n - lo) // chunk))
+    if workers > 1:
+        _fan_out(g, with_paths, lo, chunk, block, workers, take)
+    else:
+        for _, reached, values, rows, _, _ in blocks:
+            take(reached, values, rows)
     return (betweenness if with_paths else None), closeness
+
+
+def _workers(projected_visits: float, chunks: int) -> int:
+    """How many processes, this one included, sweep the remaining chunks."""
+    if (
+        projected_visits < _FORK_MIN_VISITS
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() != 1
+    ):
+        return 1
+    return min(len(os.sched_getaffinity(0)), chunks)
+
+
+def _fan_out(
+    g: DirectedGraph,
+    with_paths: bool,
+    lo: int,
+    chunk: int,
+    block: int,
+    workers: int,
+    take: Callable[[np.ndarray, np.ndarray, np.ndarray | None], None],
+) -> None:
+    """Sweep sources ``lo..n-1`` in chunks of ``chunk`` on ``workers`` processes.
+
+    Chunk i goes to worker ``i % workers``: worker 0 is this process, the
+    others are forked children that send each chunk back over a pipe as its
+    closeness values followed by its dependency rows.  Every chunk reaches
+    ``take`` in ascending order.  Whether the sweep ends or raises, every
+    child still running is killed and reaped.
+    """
+    n = g.n
+    width = n + 1 if with_paths else 1  # floats per source on a pipe
+    starts = range(lo, n, chunk)
+    children = []  # (pid, read end of its pipe)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+            for k in range(1, workers):
+                r, w = os.pipe()
+                try:
+                    pid = os.fork()
+                except BaseException:
+                    os.close(r)
+                    os.close(w)
+                    raise
+                if pid == 0:
+                    readers = [r] + [fd for _, fd in children]
+                    _worker(g, with_paths, starts[k::workers], chunk, block, w, readers)
+                os.close(w)
+                children.append((pid, r))
+        buf = np.empty(chunk * width)
+        for i, start in enumerate(starts):
+            stop = min(start + chunk, n)
+            if i % workers == 0:
+                for _, reached, values, rows, _, block in _blocks(
+                    g, with_paths, start, stop, block
+                ):
+                    take(reached, values, rows)
+                continue
+            pid, r = children[i % workers - 1]
+            size = stop - start
+            got = buf[: size * width]
+            view = memoryview(got).cast("B")
+            while view:
+                done = os.readv(r, [view])
+                if not done:
+                    raise RuntimeError(
+                        f"path sweep worker {pid} ended before sending sources "
+                        f"{start}..{stop - 1}"
+                    )
+                view = view[done:]
+            rows = got[size:].reshape(size, n) if with_paths else None
+            take(np.arange(start, stop), got[:size], rows)
+    finally:
+        for pid, r in children:
+            os.close(r)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+
+
+def _worker(
+    g: DirectedGraph,
+    with_paths: bool,
+    starts: range,
+    chunk: int,
+    block: int,
+    w: int,
+    readers: list[int],
+) -> NoReturn:
+    """Forked child: sweep the chunks beginning at ``starts``, write each to ``w``.
+
+    It first closes the pipe ends it inherited for reading, so that a write
+    fails instead of blocking once the parent is gone.
+    """
+    code = 1
+    try:
+        for fd in readers:
+            os.close(fd)
+        n = g.n
+        for start in starts:
+            size = min(chunk, n - start)
+            out = np.zeros(size * (n + 1) if with_paths else size)
+            dependencies = out[size:].reshape(-1, n)
+            for sources, reached, values, rows, _, block in _blocks(
+                g, with_paths, start, start + size, block
+            ):
+                out[reached - start] = values
+                if rows is not None:
+                    dependencies[sources[0] - start : sources[-1] + 1 - start] = rows
+            view = memoryview(out).cast("B")
+            while view:
+                view = view[os.write(w, view) :]
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def _swept(g: DirectedGraph, with_paths: bool) -> tuple[np.ndarray | None, np.ndarray]:
@@ -232,6 +418,12 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityScores:
     sources are added to the total in sorted node order, one by one.  The
     result is bit-for-bit that of the one-source-at-a-time loop.  Path
     counts sigma are float64, exact below 2**53, as in networkx.
+
+    On a graph whose sweep projects to at least 2**22 edge visits, chunks of
+    sources run on every CPU of the process's affinity mask (forked children,
+    none outliving the call); the parent still adds their rows in source
+    order, so the scores do not depend on the CPU count.  A chunk's rows are
+    at most 2**16 floats, and a worker that dies raises ``RuntimeError``.
     """
     return path_centralities(g)[0]
 

@@ -75,7 +75,7 @@ class DirectedGraph:
     access.  Both are canonical, so two graphs over the same data compare
     equal regardless of input order.  :meth:`from_edges` (which the parse
     functions call) is the only constructor and the only code that sets these
-    fields; ``DirectedGraph(...)`` itself takes no arguments.
+    fields; ``DirectedGraph(...)`` itself raises ``TypeError``.
     """
 
     nodes: tuple[str, ...]
@@ -89,6 +89,9 @@ class DirectedGraph:
     #: Whole-graph results that analysis modules derive from this immutable
     #: graph, keyed by analysis and computed at most once per graph.
     memo: dict[str, object] = field(repr=False)
+
+    def __init__(self, *args, **kwargs):
+        raise TypeError("DirectedGraph() builds no graph; use DirectedGraph.from_edges")
 
     @classmethod
     def from_edges(

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from netcover import (
     to_rank,
 )
 from netcover.centrality import CentralityScores
+from netcover.cli import main
 from helpers import (
     bigrid,
     bipath,
@@ -363,3 +367,127 @@ def test_path_sweep_runs_once_per_graph(monkeypatch):
     assert betweenness_centrality(g).scores == betweenness.scores
     assert closeness_centrality(g).scores == closeness.scores == first
     assert calls == [False, True]
+
+
+# --- the sweep on several processes ---
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """Fork for every sweep of two or more chunks, on the CPU count set by the
+    returned ``workers(w)``; ``forks`` lists the children forked.  Afterwards
+    this process has no child left, reaped or not."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def workers(w: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+
+    monkeypatch.setattr(centrality_mod, "_FORK_MIN_VISITS", 0)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield workers, forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("name", sorted(_RECORDED))
+def test_forked_sweep_bit_identical(name, w, forking, monkeypatch):
+    """Three workers on two CPUs are slower, not wrong."""
+    workers, forks = forking
+    workers(w)
+    monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", 2**12)  # 10-20 sources a chunk
+    g = _BUILD[name]()
+    betweenness, closeness = path_centralities(g)
+    assert (_sha256(g, betweenness), _sha256(g, closeness)) == _RECORDED[name]
+    g = _BUILD[name]()
+    assert _sha256(g, closeness_centrality(g)) == _RECORDED[name][1]  # forward only
+    assert len(forks) == 2 * (w - 1)
+
+
+@pytest.mark.parametrize("w", [2, 3])
+def test_forked_sweep_block_boundaries(w, forking, monkeypatch):
+    workers, forks = forking
+    workers(w)
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        h = random_digraph(rng, max_n=25)
+
+        def fresh() -> DirectedGraph:
+            return DirectedGraph.from_edges(h.edges, nodes=h.nodes + ("zz1", "zz2"))
+
+        g = fresh()
+        want = list(scalar_path_centralities(g))
+        # chunks of one source, then of two or more sources split into blocks
+        width = max(g.m, g.n)
+        for budget in (1, 2 * width, 3 * width):
+            monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", budget)
+            assert _scores_by_index(*path_centralities(fresh())) == want, budget
+            assert _scores_by_index(closeness_centrality(fresh())) == want[1:]
+    assert forks
+
+
+def _failing_blocks(monkeypatch, in_parent: bool) -> None:
+    """Make each chunk swept after the fork raise, here or in the workers."""
+    parent = os.getpid()
+    blocks = centrality_mod._blocks
+
+    def failing(g, with_paths, lo, hi, block):
+        if lo > 0 and (os.getpid() == parent) == in_parent:
+            raise ValueError("chunk fails")
+        return blocks(g, with_paths, lo, hi, block)
+
+    monkeypatch.setattr(centrality_mod, "_blocks", failing)
+
+
+def test_forked_sweep_worker_failure_raises(forking, monkeypatch, capsys):
+    workers, forks = forking
+    workers(2)
+    monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", 2**8)
+    _failing_blocks(monkeypatch, in_parent=False)
+    with pytest.raises(RuntimeError, match="path sweep worker .* ended before sending"):
+        path_centralities(gen_erdos_renyi(60, 0.1, 5))
+    assert len(forks) == 1
+    # the CLI reports it as an internal error
+    golden = Path(__file__).parent / "golden" / "gen_pa.json"
+    assert main(["evaluate", str(golden)]) == 3
+    assert "internal error: path sweep worker" in capsys.readouterr().err
+    assert len(forks) == 2
+
+
+def test_forked_sweep_parent_failure_reaps_workers(forking, monkeypatch):
+    workers, forks = forking
+    workers(3)
+    monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", 2**8)
+    _failing_blocks(monkeypatch, in_parent=True)
+    with pytest.raises(ValueError, match="chunk fails"):
+        path_centralities(gen_erdos_renyi(60, 0.1, 5))
+    assert len(forks) == 2
+
+
+def test_sweep_never_forks_beside_a_thread(forking, monkeypatch):
+    workers, _ = forking
+    workers(2)
+    monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", 2**12)
+
+    def refuse():
+        raise AssertionError("forked while a second thread runs")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        g = _BUILD["er300"]()
+        assert _sha256(g, betweenness_centrality(g)) == _RECORDED["er300"][0]
+        g = _BUILD["er300"]()
+        assert _sha256(g, closeness_centrality(g)) == _RECORDED["er300"][1]
+    finally:
+        stop.set()
+        thread.join()

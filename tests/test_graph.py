@@ -310,8 +310,10 @@ def test_empty_label_rejected(where, bad):
 
 
 def test_from_edges_is_the_only_constructor():
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=r"DirectedGraph\.from_edges"):
         DirectedGraph(nodes=("a", "b"), edges=(("a", "b"),))
+    with pytest.raises(TypeError, match=r"DirectedGraph\.from_edges"):
+        DirectedGraph()
 
 
 # --- neighborhoods and degrees ---
