@@ -20,17 +20,19 @@ side by side, level by level, with every floating-point sum taken in the
 order of the classic one-source-at-a-time loop, so the scores do not depend
 on the block size.
 
+Closeness has no sweep of its own: it is always read from that one.
+
 The sources fall into contiguous chunks of ``_BLOCK_BUDGET // n`` (each
-chunk's dependency rows are at most 2**16 floats, 512 KiB).  The calling
-process sweeps the first chunk and projects the edges it expanded to all n
-sources.  When that reaches ``_FORK_MIN_VISITS`` (2**22), ``os.fork`` and
-``os.sched_getaffinity`` exist, the mask holds more than one CPU and no other
-Python thread runs, the remaining chunks go round-robin to the CPUs of the
-affinity mask: this process and forked children, which send their chunks
-back over pipes.  This process still adds every dependency row in ascending
-source order, so the scores are bit for bit those of one process, and
-``taskset -c 0`` changes only the wall time.  Otherwise the sweep stays
-serial.
+chunk's dependency rows are at most 2**16 floats, 512 KiB), and one loop
+walks them.  The calling process sweeps chunk 0 and projects the edges it
+expanded to all n sources.  When that reaches ``_FORK_MIN_VISITS`` (2**22),
+``os.fork`` and ``os.sched_getaffinity`` exist, the mask holds more than one
+CPU and no other Python thread runs, the remaining chunks go round-robin to
+W workers, one per CPU of the affinity mask: this process and forked
+children, which send their chunks back over pipes.  Otherwise W = 1 and this
+process sweeps every chunk.  This process adds every dependency row in
+ascending source order either way, so the scores are bit for bit those of
+one process, and ``taskset -c 0`` changes only the wall time.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, NoReturn
+from typing import NoReturn
 
 import numpy as np
 
@@ -121,7 +123,7 @@ _FORK_MIN_VISITS = 2**22
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
 
 
-def _blocks(g: DirectedGraph, with_paths: bool, lo: int, hi: int, block: int):
+def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
     """Sweep sources ``lo..hi-1`` a block at a time, in ascending order.
 
     Runs Brandes' algorithm over ``g.csr`` for a block of B sources at once,
@@ -134,8 +136,8 @@ def _blocks(g: DirectedGraph, with_paths: bool, lo: int, hi: int, block: int):
 
     Yields ``(sources, reached, closeness, rows, visits, block)`` per block:
     the closeness of the ``reached`` sources (those reaching any node), the
-    block's B x n dependency rows (``None`` unless ``with_paths``), the edges
-    its BFS expanded, and the size of the next block.
+    block's B x n dependency rows, the edges its BFS expanded, and the size
+    of the next block.
     """
     n = g.n
     indptr, indices = g.csr
@@ -182,12 +184,11 @@ def _blocks(g: DirectedGraph, with_paths: bool, lo: int, hi: int, block: int):
             found = np.bincount(nxt // n, minlength=sources.size)
             reached += found
             total += depth * found
-            if with_paths:
-                tail = np.repeat(frontier, deg)[fresh]
-                first[nxt] = np.arange(nxt.size)
-                rank = first[head]
-                sigma[nxt] = np.bincount(rank, weights=sigma[tail], minlength=nxt.size)
-                dag.append((tail, rank))
+            tail = np.repeat(frontier, deg)[fresh]
+            first[nxt] = np.arange(nxt.size)
+            rank = first[head]
+            sigma[nxt] = np.bincount(rank, weights=sigma[tail], minlength=nxt.size)
+            dag.append((tail, rank))
             levels.append(nxt)
             frontier = nxt
 
@@ -195,10 +196,6 @@ def _blocks(g: DirectedGraph, with_paths: bool, lo: int, hi: int, block: int):
         some = np.flatnonzero(reached)
         r = reached[some]
         closeness = (r / (n - 1)) * (r / total[some])
-        if not with_paths:
-            yield sources, sources[some], closeness, None, visits, block
-            continue
-
         delta = np.zeros(size)
         for depth in range(len(levels) - 1, 0, -1):
             children = levels[depth]
@@ -218,45 +215,71 @@ def _blocks(g: DirectedGraph, with_paths: bool, lo: int, hi: int, block: int):
         yield sources, sources[some], closeness, rows, visits, block
 
 
-def _path_sweep(
-    g: DirectedGraph, with_paths: bool
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Betweenness (``None`` unless ``with_paths``) and closeness, by node index.
+def _path_sweep(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Betweenness and closeness by node index.
 
-    Sources are swept in ascending order by :func:`_blocks`, and each
-    source's dependency row is added to the totals one by one, so every
-    floating-point sum runs in the order of the one-source-at-a-time loop.
-    This process sweeps the first chunk; if that projects to at least
-    ``_FORK_MIN_VISITS`` edge visits, the process is the only thread and may
-    run on more than one CPU, the remaining chunks go to :func:`_fan_out`.
+    Sources fall into chunks of ``chunk``, swept by :func:`_blocks` in
+    ascending order, and each source's dependency row is added to the totals
+    one by one, so every floating-point sum runs in the order of the
+    one-source-at-a-time loop.  This process sweeps chunk 0 and projects its
+    edge visits to all n sources; :func:`_workers` turns that into W workers.
+    Chunk i >= 1 goes to worker ``(i - 1) % W``: worker 0 is this process,
+    the others are forked children that send each chunk back over a pipe as
+    its closeness values followed by its dependency rows.  W = 1 is the
+    serial sweep.  Whether the sweep ends or raises, every child still
+    running is killed and reaped.
     """
     n = g.n
     betweenness = np.zeros(n)
     closeness = np.zeros(n)
-
-    def take(reached, values, rows):
-        nonlocal betweenness
-        closeness[reached] = values
-        if rows is not None:
-            for dependency in rows:
-                betweenness += dependency
-
     chunk = max(1, _BLOCK_BUDGET // max(n, 1))
-    blocks = _blocks(g, with_paths, 0, n, max(1, _BLOCK_BUDGET // max(g.m, n, 1)))
-    lo = visits = 0
-    for sources, reached, values, rows, expanded, block in blocks:
-        take(reached, values, rows)
-        lo += sources.size
-        visits += expanded
-        if lo >= chunk:
-            break
-    workers = _workers(visits * n / max(lo, 1), -(-(n - lo) // chunk))
-    if workers > 1:
-        _fan_out(g, with_paths, lo, chunk, block, workers, take)
-    else:
-        for _, reached, values, rows, _, _ in blocks:
-            take(reached, values, rows)
-    return (betweenness if with_paths else None), closeness
+    block = max(1, _BLOCK_BUDGET // max(g.m, n, 1))
+    starts = range(0, n, chunk)
+    workers = 1
+    visits = 0
+    children = []  # (pid, read end of its pipe) of workers 1..W-1
+    try:
+        for i, start in enumerate(starts):
+            stop = min(start + chunk, n)
+            if i == 1:
+                workers = _workers(visits * n / start, len(starts) - 1)
+                if workers > 1:
+                    _fork(g, starts[1:], chunk, block, workers, children)
+                    buf = np.empty(chunk * (n + 1))
+            k = (i - 1) % workers if i else 0
+            if k == 0:
+                for _, reached, values, rows, seen, block in _blocks(
+                    g, start, stop, block
+                ):
+                    visits += seen
+                    closeness[reached] = values
+                    for dependency in rows:
+                        betweenness += dependency
+                continue
+            pid, r = children[k - 1]
+            size = stop - start
+            got = buf[: size * (n + 1)]
+            view = memoryview(got).cast("B")
+            while view:
+                done = os.readv(r, [view])
+                if not done:
+                    raise RuntimeError(
+                        f"path sweep worker {pid} ended before sending sources "
+                        f"{start}..{stop - 1}"
+                    )
+                view = view[done:]
+            closeness[start:stop] = got[:size]
+            for dependency in got[size:].reshape(size, n):
+                betweenness += dependency
+    finally:
+        for pid, r in children:
+            os.close(r)
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+    return betweenness, closeness
 
 
 def _workers(projected_visits: float, chunks: int) -> int:
@@ -271,84 +294,38 @@ def _workers(projected_visits: float, chunks: int) -> int:
     return min(len(os.sched_getaffinity(0)), chunks)
 
 
-def _fan_out(
+def _fork(
     g: DirectedGraph,
-    with_paths: bool,
-    lo: int,
-    chunk: int,
-    block: int,
-    workers: int,
-    take: Callable[[np.ndarray, np.ndarray, np.ndarray | None], None],
-) -> None:
-    """Sweep sources ``lo..n-1`` in chunks of ``chunk`` on ``workers`` processes.
-
-    Chunk i goes to worker ``i % workers``: worker 0 is this process, the
-    others are forked children that send each chunk back over a pipe as its
-    closeness values followed by its dependency rows.  Every chunk reaches
-    ``take`` in ascending order.  Whether the sweep ends or raises, every
-    child still running is killed and reaped.
-    """
-    n = g.n
-    width = n + 1 if with_paths else 1  # floats per source on a pipe
-    starts = range(lo, n, chunk)
-    children = []  # (pid, read end of its pipe)
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
-            for k in range(1, workers):
-                r, w = os.pipe()
-                try:
-                    pid = os.fork()
-                except BaseException:
-                    os.close(r)
-                    os.close(w)
-                    raise
-                if pid == 0:
-                    readers = [r] + [fd for _, fd in children]
-                    _worker(g, with_paths, starts[k::workers], chunk, block, w, readers)
-                os.close(w)
-                children.append((pid, r))
-        buf = np.empty(chunk * width)
-        for i, start in enumerate(starts):
-            stop = min(start + chunk, n)
-            if i % workers == 0:
-                for _, reached, values, rows, _, block in _blocks(
-                    g, with_paths, start, stop, block
-                ):
-                    take(reached, values, rows)
-                continue
-            pid, r = children[i % workers - 1]
-            size = stop - start
-            got = buf[: size * width]
-            view = memoryview(got).cast("B")
-            while view:
-                done = os.readv(r, [view])
-                if not done:
-                    raise RuntimeError(
-                        f"path sweep worker {pid} ended before sending sources "
-                        f"{start}..{stop - 1}"
-                    )
-                view = view[done:]
-            rows = got[size:].reshape(size, n) if with_paths else None
-            take(np.arange(start, stop), got[:size], rows)
-    finally:
-        for pid, r in children:
-            os.close(r)
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            os.waitpid(pid, 0)
-
-
-def _worker(
-    g: DirectedGraph,
-    with_paths: bool,
     starts: range,
     chunk: int,
     block: int,
-    w: int,
-    readers: list[int],
+    workers: int,
+    children: list[tuple[int, int]],
+) -> None:
+    """Fork workers 1..W-1; worker k sweeps the chunks ``starts[k::workers]``.
+
+    Each child joins ``children`` as ``(pid, read end of its pipe)`` once it
+    runs, and closes the read ends of the children forked before it.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", _FORK_WARNING, DeprecationWarning)
+        for k in range(1, workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                readers = [r] + [fd for _, fd in children]
+                _worker(g, starts[k::workers], chunk, block, w, readers)
+            os.close(w)
+            children.append((pid, r))
+
+
+def _worker(
+    g: DirectedGraph, starts: range, chunk: int, block: int, w: int, readers: list[int]
 ) -> NoReturn:
     """Forked child: sweep the chunks beginning at ``starts``, write each to ``w``.
 
@@ -362,14 +339,13 @@ def _worker(
         n = g.n
         for start in starts:
             size = min(chunk, n - start)
-            out = np.zeros(size * (n + 1) if with_paths else size)
+            out = np.zeros(size * (n + 1))
             dependencies = out[size:].reshape(-1, n)
             for sources, reached, values, rows, _, block in _blocks(
-                g, with_paths, start, start + size, block
+                g, start, start + size, block
             ):
                 out[reached - start] = values
-                if rows is not None:
-                    dependencies[sources[0] - start : sources[-1] + 1 - start] = rows
+                dependencies[sources[0] - start : sources[-1] + 1 - start] = rows
             view = memoryview(out).cast("B")
             while view:
                 view = view[os.write(w, view) :]
@@ -378,26 +354,18 @@ def _worker(
         os._exit(code)
 
 
-def _swept(g: DirectedGraph, with_paths: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """:func:`_path_sweep` at most once per graph, kept in ``g.memo``.
-
-    A closeness-only result is swept again in full when betweenness is asked
-    for later.  Callers copy the arrays into fresh score dicts.
-    """
-    done = g.memo.get("path_sweep")
-    if done is None or (with_paths and done[0] is None):
-        done = g.memo["path_sweep"] = _path_sweep(g, with_paths)
-    return done
-
-
 def path_centralities(g: DirectedGraph) -> tuple[CentralityScores, CentralityScores]:
     """Betweenness and closeness from one shared all-sources sweep.
 
     Returns ``(betweenness, closeness)``, the same scores as
     :func:`betweenness_centrality` and :func:`closeness_centrality`.  The
-    sweep runs once per graph: later calls of any of the three reuse it.
+    sweep runs at most once per graph and is kept in ``g.memo``: later calls
+    of any of the three reuse it.
     """
-    betweenness, closeness = _swept(g, with_paths=True)
+    done = g.memo.get("path_sweep")
+    if done is None:
+        done = g.memo["path_sweep"] = _path_sweep(g)
+    betweenness, closeness = done
     return (
         CentralityScores("betweenness", dict(zip(g.nodes, betweenness.tolist()))),
         CentralityScores("closeness", dict(zip(g.nodes, closeness.tolist()))),
@@ -419,11 +387,12 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityScores:
     result is bit-for-bit that of the one-source-at-a-time loop.  Path
     counts sigma are float64, exact below 2**53, as in networkx.
 
-    On a graph whose sweep projects to at least 2**22 edge visits, chunks of
-    sources run on every CPU of the process's affinity mask (forked children,
-    none outliving the call); the parent still adds their rows in source
-    order, so the scores do not depend on the CPU count.  A chunk's rows are
-    at most 2**16 floats, and a worker that dies raises ``RuntimeError``.
+    The sources fall into chunks whose rows are at most 2**16 floats, swept
+    by one loop.  On a graph whose sweep projects to at least 2**22 edge
+    visits, the chunks after the first run on every CPU of the process's
+    affinity mask (forked children, none outliving the call); the parent
+    still adds their rows in source order, so the scores do not depend on
+    the CPU count, and a worker that dies raises ``RuntimeError``.
     """
     return path_centralities(g)[0]
 
@@ -433,12 +402,11 @@ def closeness_centrality(g: DirectedGraph) -> CentralityScores:
 
     With r nodes reachable from v (excluding v) at total distance D:
     ``closeness(v) = (r / (n - 1)) * (r / D)``; nodes reaching nothing score 0.
-    r and D are exact integers.  Unless the graph's betweenness sweep has
-    already run, only its forward BFS runs; path counts and dependencies are
-    skipped.
+    r and D are exact integers.  The scores come from the graph's shared
+    betweenness sweep (:func:`path_centralities`), so closeness alone costs
+    the full sweep, path counts and dependencies included.
     """
-    _, closeness = _swept(g, with_paths=False)
-    return CentralityScores("closeness", dict(zip(g.nodes, closeness.tolist())))
+    return path_centralities(g)[1]
 
 
 def _is_acyclic(g: DirectedGraph) -> bool:

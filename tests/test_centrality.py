@@ -323,7 +323,7 @@ def test_path_sweep_bit_identical(name):
     g = _BUILD[name]()
     assert _sha256(g, betweenness_centrality(g)) == _RECORDED[name][0]
     g = _BUILD[name]()
-    assert _sha256(g, closeness_centrality(g)) == _RECORDED[name][1]  # forward only
+    assert _sha256(g, closeness_centrality(g)) == _RECORDED[name][1]
 
 
 def _scores_by_index(*measures: CentralityScores) -> list[list[float]]:
@@ -357,26 +357,25 @@ def test_path_sweep_runs_once_per_graph(monkeypatch):
     calls = []
     sweep = centrality_mod._path_sweep
 
-    def counted(graph, with_paths):
-        calls.append(with_paths)
-        return sweep(graph, with_paths)
+    def counted(graph):
+        calls.append(graph)
+        return sweep(graph)
 
     monkeypatch.setattr(centrality_mod, "_path_sweep", counted)
-    first = closeness_centrality(g).scores  # forward BFS only
-    betweenness, closeness = path_centralities(g)  # needs the full sweep
+    first = closeness_centrality(g).scores
+    betweenness, closeness = path_centralities(g)
     assert betweenness_centrality(g).scores == betweenness.scores
     assert closeness_centrality(g).scores == closeness.scores == first
-    assert calls == [False, True]
+    assert calls == [g]
 
 
 # --- the sweep on several processes ---
 
 
 @pytest.fixture
-def forking(monkeypatch):
-    """Fork for every sweep of two or more chunks, on the CPU count set by the
-    returned ``workers(w)``; ``forks`` lists the children forked.  Afterwards
-    this process has no child left, reaped or not."""
+def forks(monkeypatch):
+    """The children forked, in a list; afterwards this process has no child
+    left, reaped or not."""
     forks = []
     fork = os.fork
 
@@ -386,14 +385,34 @@ def forking(monkeypatch):
             forks.append(pid)
         return pid
 
+    monkeypatch.setattr(os, "fork", counted_fork)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forking(monkeypatch, forks):
+    """Fork for every sweep of two or more chunks, on the CPU count set by the
+    returned ``workers(w)``; ``forks`` lists the children forked."""
+
     def workers(w: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
 
     monkeypatch.setattr(centrality_mod, "_FORK_MIN_VISITS", 0)
-    monkeypatch.setattr(os, "fork", counted_fork)
-    yield workers, forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    return workers, forks
+
+
+def test_fork_decision_at_the_real_threshold(forks, monkeypatch):
+    """On two CPUs the survey-pa shape sweeps serially and the flat-er shape
+    forks one worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    g = gen_preferential(1500, 10, 1)
+    assert betweenness_centrality(g).scores
+    assert forks == []
+    g = gen_erdos_renyi(1500, 0.0067, 1)
+    assert betweenness_centrality(g).scores
+    assert len(forks) == 1
 
 
 @pytest.mark.parametrize("w", [2, 3])
@@ -407,7 +426,7 @@ def test_forked_sweep_bit_identical(name, w, forking, monkeypatch):
     betweenness, closeness = path_centralities(g)
     assert (_sha256(g, betweenness), _sha256(g, closeness)) == _RECORDED[name]
     g = _BUILD[name]()
-    assert _sha256(g, closeness_centrality(g)) == _RECORDED[name][1]  # forward only
+    assert _sha256(g, closeness_centrality(g)) == _RECORDED[name][1]
     assert len(forks) == 2 * (w - 1)
 
 
@@ -438,10 +457,10 @@ def _failing_blocks(monkeypatch, in_parent: bool) -> None:
     parent = os.getpid()
     blocks = centrality_mod._blocks
 
-    def failing(g, with_paths, lo, hi, block):
+    def failing(g, lo, hi, block):
         if lo > 0 and (os.getpid() == parent) == in_parent:
             raise ValueError("chunk fails")
-        return blocks(g, with_paths, lo, hi, block)
+        return blocks(g, lo, hi, block)
 
     monkeypatch.setattr(centrality_mod, "_blocks", failing)
 
