@@ -232,8 +232,8 @@ def _path_sweep(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
     n = g.n
     betweenness = np.zeros(n)
     closeness = np.zeros(n)
-    chunk = max(1, _BLOCK_BUDGET // max(n, 1))
-    block = max(1, _BLOCK_BUDGET // max(g.m, n, 1))
+    chunk = max(1, _BLOCK_BUDGET // n)
+    block = max(1, _BLOCK_BUDGET // max(g.m, n))
     starts = range(0, n, chunk)
     workers = 1
     visits = 0
@@ -424,19 +424,23 @@ def _is_acyclic(g: DirectedGraph) -> bool:
     return removed == g.n
 
 
-def eigenvector_centrality(
-    g: DirectedGraph, tol: float = 1e-10, max_iter: int = 1000
-) -> CentralityScores:
+#: Power iteration stops once successive normalized iterates differ by at
+#: most this much (L2), or after this many steps.
+_TOL = 1e-10
+_MAX_ITER = 1000
+
+
+def eigenvector_centrality(g: DirectedGraph) -> CentralityScores:
     """Dominant left eigenvector of the adjacency matrix, L2-normalized.
 
     Scores flow along incoming edges: a node is central when its
     in-neighbors are central.  Power iteration starts uniform and runs on
     the shifted operator A^T + I, which leaves the eigenvector unchanged but
     converges even on periodic structures (a plain iteration oscillates
-    forever on, e.g., a bidirectional path).  Convergence is tol on the L2
-    difference of successive normalized iterates, capped at max_iter; when
-    the cap is hit the last iterate is returned with ``warning`` naming the
-    iteration count and the residual.
+    forever on, e.g., a bidirectional path).  Convergence is ``_TOL``
+    (1e-10) on the L2 difference of successive normalized iterates, capped
+    at ``_MAX_ITER`` (1000) steps; when the cap is hit the last iterate is
+    returned with ``warning`` naming the iteration count and the residual.
 
     On acyclic graphs the true iteration collapses to the zero vector (the
     adjacency matrix is nilpotent), so the result falls back to scores
@@ -444,21 +448,25 @@ def eigenvector_centrality(
     norm keeps every rank and every tie, so the fallback's tie-averaged
     Spearman against any order is identical to in-degree's: on
     preferential-attachment graphs, which are acyclic, the eigenvector
-    baseline coincides with in_degree.  An edgeless graph has
-    no meaningful eigenvector at all and raises ``ValueError``.
+    baseline coincides with in_degree.  An edgeless graph is the zero case
+    of that fallback: every in-degree is 0, so every score is 0.0 (rank
+    falls back to label order) and ``warning`` says the eigenvector is
+    undefined.  Nothing is raised.
     """
-    if g.m == 0:
-        raise ValueError("eigenvector undefined: graph has no edges")
     n = g.n
 
     if _is_acyclic(g):
         vec = np.diff(g.in_csr[0]).astype(float)
-        vec /= np.linalg.norm(vec)
+        if g.m == 0:
+            warning = "edgeless graph: eigenvector undefined, scores zeroed"
+        else:
+            vec /= np.linalg.norm(vec)
+            warning = (
+                "acyclic graph: power iteration collapses to zero; "
+                "scores proportional to in-degree"
+            )
         return CentralityScores(
-            measure="eigenvector",
-            scores=dict(zip(g.nodes, vec.tolist())),
-            warning="acyclic graph: power iteration collapses to zero; "
-            "scores proportional to in-degree",
+            measure="eigenvector", scores=dict(zip(g.nodes, vec.tolist())), warning=warning
         )
 
     # Edge index arrays: (A^T x)[t] sums x[s] over the edges s -> t.
@@ -468,17 +476,17 @@ def eigenvector_centrality(
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = float("inf")
     warning = None
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         y = np.bincount(dst, weights=x[src], minlength=n) + x
         y /= np.linalg.norm(y)
         residual = float(np.linalg.norm(y - x))
         x = y
-        if residual <= tol:
+        if residual <= _TOL:
             break
     else:
         warning = (
-            f"power iteration stopped at max_iter={max_iter} without converging "
-            f"(residual {residual:.3g} > tol {tol:.3g})"
+            f"power iteration stopped at max_iter={_MAX_ITER} without converging "
+            f"(residual {residual:.3g} > tol {_TOL:.3g})"
         )
 
     return CentralityScores(

@@ -80,7 +80,7 @@ def set_coverage(g: DirectedGraph, selected: Iterable[str]) -> CoverageSet:
     covered: set[str] = set()
     for v in selected:
         covered |= node_coverage(g, v)
-    fraction = len(covered) / g.n if g.n else 0.0
+    fraction = len(covered) / g.n
     return CoverageSet(covered=frozenset(covered), fraction=fraction)
 
 
@@ -99,8 +99,6 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
     """
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(f"target_coverage must be in (0, 1], got {target_coverage}")
-    if g.n == 0:
-        raise ValueError("cannot select from an empty graph")
 
     # scan order, in-degree descending then label; sorted, so already a heap
     neg_bounds = -1 - np.diff(g.in_csr[0])  # -(in_degree + 1)

@@ -39,11 +39,11 @@ def default_ks(n: int) -> tuple[int, ...]:
 
 
 def centrality_scores(g: DirectedGraph, method: str) -> CentralityScores:
-    """Scores for one baseline method.
+    """Scores for one baseline method: a plain dispatch to :mod:`centrality`.
 
-    On an edgeless graph the eigenvector measure is undefined; here it
-    degrades to all-zero scores (rank falls back to label order) so the
-    evaluation protocol still runs on degenerate graphs.
+    Each measure decides its own degenerate cases; on an edgeless graph,
+    for one, eigenvector scores are all zero with a warning.  An unknown
+    method raises ``ValueError``.
     """
     if method == "in_degree":
         return _centrality.degree_centrality(g, "in")
@@ -52,12 +52,6 @@ def centrality_scores(g: DirectedGraph, method: str) -> CentralityScores:
     if method == "closeness":
         return _centrality.closeness_centrality(g)
     if method == "eigenvector":
-        if g.m == 0:
-            return CentralityScores(
-                measure="eigenvector",
-                scores={v: 0.0 for v in g.nodes},
-                warning="edgeless graph: eigenvector undefined, scores zeroed",
-            )
         return _centrality.eigenvector_centrality(g)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS[:-1]}")
 
@@ -245,17 +239,17 @@ def pareto_point(
     """Minimal k whose coverage reaches the threshold for the given method.
 
     Selecting every node always covers the graph, so a crossing k always
-    exists for any threshold in (0, 1].
+    exists for any threshold in (0, 1].  Greedy stops at the first pick
+    reaching the threshold; a baseline's rank-prefix curve is cut by
+    :meth:`SelectionResult.reaching`.  An unknown method raises
+    ``ValueError`` from :func:`centrality_scores`.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
     if method == "greedy":
-        sel = greedy_select(g, target_coverage=1.0)
-    elif method in METHODS[:-1]:
-        sel = centrality_rank_select(g, centrality_rank(g, method), g.n)
+        point = greedy_select(g, threshold)
     else:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    point = sel.reaching(threshold)
+        point = centrality_rank_select(g, centrality_rank(g, method), g.n).reaching(threshold)
     k = len(point.picks)
     return ParetoPoint(
         method=method, k=k, node_fraction=k / g.n, coverage=point.cumulative[-1]

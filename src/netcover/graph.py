@@ -22,7 +22,9 @@ Duplicates and self-loops are dropped and counted into an
 :class:`IngestReport` carried on the graph (excluded from equality).  A node
 that appears only as an edge target is still a node; isolated nodes survive
 the JSON format, which carries an explicit node list, but not the CSV edge
-list.
+list.  A graph has at least one node: ``from_edges`` refuses input that names
+none with :class:`ParseError`, so no analysis downstream checks for an empty
+graph.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ class DirectedGraph:
     access.  Both are canonical, so two graphs over the same data compare
     equal regardless of input order.  :meth:`from_edges` (which the parse
     functions call) is the only constructor and the only code that sets these
-    fields; ``DirectedGraph(...)`` itself raises ``TypeError``.
+    fields; ``DirectedGraph(...)`` itself raises ``TypeError``.  ``nodes`` is
+    never empty.
     """
 
     nodes: tuple[str, ...]
@@ -104,7 +107,8 @@ class DirectedGraph:
         ``nodes`` adds labels beyond the edge endpoints (isolated nodes).
         Endpoints of dropped self-loops are still retained as nodes.  ``edges``
         is read once, so it may be any iterable of pairs, a generator
-        included.
+        included.  Raises :class:`ParseError` ``"empty graph"`` when neither
+        argument names a node.
         """
         ids: defaultdict[str, int] = defaultdict()
         ids.default_factory = ids.__len__  # a new label takes the next id
@@ -118,6 +122,8 @@ class DirectedGraph:
         for label in ids:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"node labels must be non-empty strings, got {label!r}")
+        if not ids:
+            raise ParseError("empty graph")
         labels = sorted(ids)
         index = {v: i for i, v in enumerate(labels)}
         position = np.fromiter(map(index.__getitem__, ids), np.intp, len(index))
@@ -242,7 +248,7 @@ class GraphStats:
 def graph_stats(g: DirectedGraph) -> GraphStats:
     n, m = g.n, g.m
     density = m / (n * (n - 1)) if n >= 2 else 0.0
-    avg_degree = 2 * m / n if n >= 1 else 0.0
+    avg_degree = 2 * m / n
     return GraphStats(n=n, m=m, density=density, avg_degree=avg_degree)
 
 
@@ -261,20 +267,14 @@ def parse_edge_list(text: str, fmt: str = "csv") -> DirectedGraph:
     dropped and counted in the returned graph's ``ingest`` report.
 
     Raises :class:`ParseError` on malformed rows (with a line number for
-    CSV) and on input that yields no nodes at all.
+    CSV), and :meth:`DirectedGraph.from_edges` raises it on input that yields
+    no nodes at all.
     """
     if fmt == "csv":
-        return _parse_csv(text)
+        return DirectedGraph.from_edges(_csv_pairs(text))
     if fmt == "json":
         return _parse_json(text)
     raise ValueError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
-
-
-def _parse_csv(text: str) -> DirectedGraph:
-    g = DirectedGraph.from_edges(_csv_pairs(text))
-    if g.n == 0:
-        raise ParseError("empty graph")
-    return g
 
 
 #: Characters per tokenizer slice: whole lines, cut at the first ``\n`` past
@@ -292,21 +292,17 @@ def _csv_pairs(text: str) -> Iterator[tuple[str, str]]:
     """
     limit = csv.field_size_limit()
     pos = line = 0
-    first_data_row = True
     while pos < len(text):
         end = text.find("\n", pos + _CSV_SLICE - 1) + 1 or len(text)  # no \n: the rest
         plain = _plain_cells(text[pos:end], limit)
         if plain is None:
             break
         cells, width = plain
-        start = 0
-        if first_data_row:
-            first_data_row = False
-            if cells[0].casefold() == "source":
-                start = width
+        # a plain slice has no blank line, so slice 0 starts with the first row
+        start = width if pos == 0 and cells[0].casefold() == "source" else 0
         yield from zip(cells[start::width], cells[start + 1 :: width])
         pos, line = end, line + len(cells) // width
-    yield from _csv_reader_pairs(text[pos:], line, first_data_row)
+    yield from _csv_reader_pairs(text[pos:], line, pos == 0)
 
 
 def _plain_cells(chunk: str, limit: int) -> tuple[list[str], int] | None:
@@ -387,8 +383,6 @@ def _parse_json(text: str) -> DirectedGraph:
     for label in nodes:
         if not isinstance(label, str) or not label:
             raise ParseError("node labels must be non-empty strings")
-    if not edges and not nodes:
-        raise ParseError("empty graph")
     return DirectedGraph.from_edges(edges, nodes=nodes)
 
 

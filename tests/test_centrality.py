@@ -169,8 +169,9 @@ def test_eigenvector_bidirectional_path_sqrt2():
 
 def test_eigenvector_empty_edge_set():
     g = DirectedGraph.from_edges([], nodes="ab")
-    with pytest.raises(ValueError, match="eigenvector undefined"):
-        eigenvector_centrality(g)
+    s = eigenvector_centrality(g)
+    assert s.scores == {"a": 0.0, "b": 0.0}
+    assert s.warning == "edgeless graph: eigenvector undefined, scores zeroed"
 
 
 def test_eigenvector_dag_falls_back_to_in_degree():
@@ -198,8 +199,9 @@ def test_eigenvector_residual_on_strongly_connected():
         assert np.linalg.norm(a.T @ x - lam * x) <= 1e-8
 
 
-def test_eigenvector_reports_non_convergence():
-    s = eigenvector_centrality(bipath("abc"), max_iter=1)
+def test_eigenvector_reports_non_convergence(monkeypatch):
+    monkeypatch.setattr(centrality_mod, "_MAX_ITER", 1)
+    s = eigenvector_centrality(bipath("abc"))
     assert s.warning is not None
     assert "max_iter=1" in s.warning and "residual" in s.warning
     assert set(s.scores) == {"a", "b", "c"}

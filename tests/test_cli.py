@@ -323,6 +323,7 @@ FALLBACK_WARNING = (
     "warning: acyclic graph: power iteration collapses to zero; "
     "scores proportional to in-degree\n"
 )
+EDGELESS_WARNING = "warning: edgeless graph: eigenvector undefined, scores zeroed\n"
 
 WARNING_COMMANDS = {
     "select": ["select", "--method", "eigenvector", "--k", "3"],
@@ -336,6 +337,13 @@ def test_eigenvector_fallback_warns_on_stderr_once(command, capsys):
     argv = WARNING_COMMANDS[command]
     code, _, err = run([argv[0], str(GOLDEN / "gen_pa.json"), *argv[1:]], capsys)
     assert (code, err) == (0, FALLBACK_WARNING)
+
+
+@pytest.mark.parametrize("command", sorted(WARNING_COMMANDS))
+def test_edgeless_input_warns_eigenvector_zeroed(command, edgeless10, capsys):
+    argv = WARNING_COMMANDS[command]
+    code, _, err = run([argv[0], edgeless10, *argv[1:]], capsys)
+    assert (code, err) == (0, EDGELESS_WARNING)
 
 
 @pytest.mark.parametrize("command", sorted(WARNING_COMMANDS))

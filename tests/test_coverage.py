@@ -9,6 +9,7 @@ from netcover import (
     gen_erdos_renyi,
     greedy_select,
     node_coverage,
+    pareto_point,
     set_coverage,
 )
 from netcover.oracles import naive_greedy
@@ -166,6 +167,17 @@ def test_greedy_gain_evaluations_stay_near_linear(monkeypatch):
     assert mine.picks == ref.picks
     assert mine.cumulative == ref.cumulative
     assert calls[0] <= 5 * g.n
+
+
+def test_pareto_greedy_stops_at_the_threshold(monkeypatch):
+    # greedy needs 42 picks to reach 0.8 here and 83 to cover everyone
+    g = gen_erdos_renyi(600, 0.0167, 1)
+    calls = _count_node_coverage(monkeypatch)
+    sel = greedy_select(g, 0.8)
+    direct, calls[0] = calls[0], 0
+    p = pareto_point(g, "greedy", 0.8)
+    assert (p.k, len(sel.picks)) == (42, 42)
+    assert calls[0] == direct
 
 
 def test_greedy_equal_fresh_gains_pick_earlier_in_scan():

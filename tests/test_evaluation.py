@@ -11,6 +11,7 @@ from netcover import (
     centrality_rank,
     coverage_table,
     default_ks,
+    eigenvector_centrality,
     gen_preferential,
     greedy_rank_vector,
     greedy_select,
@@ -311,6 +312,11 @@ def test_centrality_scores_edgeless_eigenvector_zeroes():
     cs = centrality_scores(g, "eigenvector")
     assert cs.warning is not None
     assert set(cs.scores.values()) == {0.0}
+
+
+def test_edgeless_eigenvector_same_in_library_and_evaluation():
+    g = DirectedGraph.from_edges([], nodes="abc")
+    assert eigenvector_centrality(g) == centrality_scores(g, "eigenvector")
 
 
 # --- pareto rendering ---

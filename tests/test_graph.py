@@ -187,6 +187,12 @@ def test_parse_json_empty():
         parse_edge_list('{"edges": []}', fmt="json")
 
 
+@pytest.mark.parametrize("edges", [[], iter(())], ids=["list", "iterator"])
+def test_from_edges_refuses_an_empty_graph(edges):
+    with pytest.raises(ParseError, match="empty graph"):
+        DirectedGraph.from_edges(edges)
+
+
 @pytest.mark.parametrize(
     "text",
     [
