@@ -1,6 +1,6 @@
 """
-Five centrality measures and their deterministic ranks
-======================================================
+Six centrality measures and their deterministic ranks
+=====================================================
 
 """
 
@@ -21,6 +21,11 @@ print("edges:", g.edges)
 for mode in ("in", "out", "total"):
     scores = degree_centrality(g, mode)
     print(f"{scores.measure}:", to_rank(scores).order[:5], "...")
+
+# scores are a read-only array by node position (g.nodes is sorted); the
+# label dict and the rank's labels are built from it
+ind = degree_centrality(g, "in")
+print("in-degree values:", ind.values[:4], "scores:", list(ind.scores.items())[:2])
 
 # betweenness counts interior positions on shortest directed paths
 bt = betweenness_centrality(g)

@@ -6,7 +6,7 @@ reaches the largest share of everyone else?  It provides
 
 * an immutable :class:`DirectedGraph` with CSV/JSON ingestion,
 * the lazy greedy maximum-coverage selector and centrality-rank baselines,
-* five classic centrality measures with deterministic ranking,
+* six centrality measures, four of them baselines, with deterministic ranking,
 * an evaluation protocol (coverage-vs-k tables, Spearman rank association,
   the minimal selection reaching an 80% coverage threshold),
 * seeded synthetic graph generators for reproducible experiments.

@@ -1,8 +1,9 @@
 """Baseline centrality measures over directed graphs.
 
-All five measures return raw scores plus a deterministic descending rank via
-:func:`to_rank` (score descending, label ascending, so equal scores never
-leave an ambiguous order).  Conventions for directed graphs:
+All six measures return a read-only array of scores by node position, and
+:func:`to_rank` orders it (score descending, label ascending, so equal scores
+never leave an ambiguous order); labels are looked up only on demand.
+Conventions for directed graphs:
 
 * degree splits into in / out / total variants;
 * betweenness counts shortest directed paths with the node strictly interior,
@@ -43,6 +44,7 @@ import threading
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NoReturn
 
 import numpy as np
@@ -59,35 +61,57 @@ MEASURES = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CentralityScores:
-    """Per-node scores for one measure; all scores finite and >= 0."""
+    """Per-node scores for one measure; all scores finite and >= 0.
+
+    ``values[i]`` is the score of ``nodes[i]``, the graph's sorted labels.
+    ``values`` is made read-only, since the sweep's arrays are shared through
+    ``g.memo``; the label dict ``scores`` is built on first access.
+    """
 
     measure: str
-    scores: dict[str, float]
+    nodes: tuple[str, ...] = field(repr=False)
+    values: np.ndarray = field(repr=False)
     warning: str | None = None
+
+    def __post_init__(self) -> None:
+        self.values.flags.writeable = False
+
+    @cached_property
+    def scores(self) -> dict[str, float]:
+        return dict(zip(self.nodes, self.values.tolist()))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, CentralityScores) and (
+            self.measure, self.nodes, self.values.tolist(), self.warning
+        ) == (other.measure, other.nodes, other.values.tolist(), other.warning)
 
 
 @dataclass(frozen=True)
 class Rank:
     """Nodes ordered best-first; always a full permutation, never tied.
 
-    ``warning`` is the scores' warning, carried along for the user.
+    ``perm`` is ``order`` as positions in ``nodes``, the graph's sorted
+    labels.  ``warning`` is the scores' warning, carried along for the user.
     """
 
     measure: str
     order: tuple[str, ...]
+    nodes: tuple[str, ...] = field(repr=False, compare=False)
+    perm: np.ndarray = field(repr=False, compare=False)
     warning: str | None = field(default=None, compare=False)
-
-    def positions(self) -> dict[str, int]:
-        """1-based position of every node (1 = top of the rank)."""
-        return {v: i + 1 for i, v in enumerate(self.order)}
 
 
 def to_rank(scores: CentralityScores) -> Rank:
-    """Order nodes by score descending, ties broken by label ascending."""
-    ordered = sorted(scores.scores, key=lambda v: (-scores.scores[v], v))
-    return Rank(measure=scores.measure, order=tuple(ordered), warning=scores.warning)
+    """Order nodes by score descending, ties broken by label ascending.
+
+    ``nodes`` is sorted, so a stable sort keeps tied nodes in label order.
+    """
+    perm = np.argsort(-scores.values, kind="stable")
+    perm.flags.writeable = False
+    order = tuple(map(scores.nodes.__getitem__, perm.tolist()))
+    return Rank(scores.measure, order, scores.nodes, perm, scores.warning)
 
 
 def degree_centrality(g: DirectedGraph, mode: str = "in") -> CentralityScores:
@@ -100,8 +124,7 @@ def degree_centrality(g: DirectedGraph, mode: str = "in") -> CentralityScores:
         degree = np.diff(g.in_csr[0]) + np.diff(g.csr[0])
     else:
         raise ValueError(f"unknown degree mode {mode!r}; expected in, out, or total")
-    scores = dict(zip(g.nodes, degree.astype(float).tolist()))
-    return CentralityScores(measure=f"{mode}_degree", scores=scores)
+    return CentralityScores(f"{mode}_degree", g.nodes, degree.astype(float))
 
 
 #: A block of sources holds at most this many (source, node) keys, and its
@@ -362,13 +385,12 @@ def path_centralities(g: DirectedGraph) -> tuple[CentralityScores, CentralitySco
     sweep runs at most once per graph and is kept in ``g.memo``: later calls
     of any of the three reuse it.
     """
-    done = g.memo.get("path_sweep")
-    if done is None:
-        done = g.memo["path_sweep"] = _path_sweep(g)
-    betweenness, closeness = done
+    if "path_sweep" not in g.memo:
+        g.memo["path_sweep"] = _path_sweep(g)
+    betweenness, closeness = g.memo["path_sweep"]
     return (
-        CentralityScores("betweenness", dict(zip(g.nodes, betweenness.tolist()))),
-        CentralityScores("closeness", dict(zip(g.nodes, closeness.tolist()))),
+        CentralityScores("betweenness", g.nodes, betweenness),
+        CentralityScores("closeness", g.nodes, closeness),
     )
 
 
@@ -465,9 +487,7 @@ def eigenvector_centrality(g: DirectedGraph) -> CentralityScores:
                 "acyclic graph: power iteration collapses to zero; "
                 "scores proportional to in-degree"
             )
-        return CentralityScores(
-            measure="eigenvector", scores=dict(zip(g.nodes, vec.tolist())), warning=warning
-        )
+        return CentralityScores("eigenvector", g.nodes, vec, warning)
 
     # Edge index arrays: (A^T x)[t] sums x[s] over the edges s -> t.
     indptr, dst = g.csr
@@ -489,6 +509,4 @@ def eigenvector_centrality(g: DirectedGraph) -> CentralityScores:
             f"(residual {residual:.3g} > tol {_TOL:.3g})"
         )
 
-    return CentralityScores(
-        measure="eigenvector", scores=dict(zip(g.nodes, x.tolist())), warning=warning
-    )
+    return CentralityScores("eigenvector", g.nodes, x, warning)

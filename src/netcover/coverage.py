@@ -133,20 +133,21 @@ def centrality_rank_select(g: DirectedGraph, rank: Rank, k: int) -> SelectionRes
 
     This is the one rank-prefix coverage routine: evaluation tables read its
     ``cumulative`` curve, and :meth:`SelectionResult.reaching` cuts it at a
-    coverage target.
+    coverage target.  A node is first covered by the best-ranked of itself
+    and the nodes it names, so one pass over ``g.csr`` gives the whole curve.
     """
     if not 1 <= k <= g.n:
         raise ValueError(f"k must be in [1, {g.n}], got {k}")
-    if set(rank.order) != set(g.nodes):
+    if rank.nodes != g.nodes:
         raise ValueError("rank does not cover the graph's node set")
-    covered: set[str] = set()
-    cumulative: list[float] = []
-    for v in rank.order[:k]:
-        covered |= node_coverage(g, v)
-        cumulative.append(len(covered) / g.n)
+    at = np.argsort(rank.perm)  # each node's place in the rank
+    indptr, indices = g.csr
+    first = at.copy()
+    np.minimum.at(first, np.repeat(np.arange(g.n), np.diff(indptr)), at[indices])
+    cumulative = np.cumsum(np.bincount(first, minlength=g.n)[:k]) / g.n
     return SelectionResult(
         method=rank.measure,
-        picks=tuple(rank.order[:k]),
-        cumulative=tuple(cumulative),
+        picks=rank.order[:k],
+        cumulative=tuple(cumulative.tolist()),
         target=None,
     )

@@ -174,13 +174,9 @@ def spearman(a: Rank | Sequence[float], b: Rank | Sequence[float]) -> float:
     if isinstance(a, Rank) != isinstance(b, Rank):
         raise TypeError("cannot mix a Rank with a raw score list")
     if isinstance(a, Rank) and isinstance(b, Rank):
-        if set(a.order) != set(b.order):
+        if a.nodes != b.nodes:
             raise ValueError("ranks are over different node sets")
-        labels = sorted(a.order)
-        pos_a = a.positions()
-        pos_b = b.positions()
-        xs: Sequence[float] = [float(pos_a[v]) for v in labels]
-        ys: Sequence[float] = [float(pos_b[v]) for v in labels]
+        xs, ys = np.argsort(a.perm), np.argsort(b.perm)  # each node's place in the rank
     else:
         xs, ys = a, b  # type: ignore[assignment]
         if len(xs) != len(ys):
@@ -190,18 +186,16 @@ def spearman(a: Rank | Sequence[float], b: Rank | Sequence[float]) -> float:
     return _pearson(_fractional_ranks(xs), _fractional_ranks(ys))
 
 
-def greedy_rank_vector(g: DirectedGraph) -> dict[str, float]:
-    """Per-node rank positions induced by a full-coverage greedy run.
+def greedy_rank_vector(g: DirectedGraph) -> np.ndarray:
+    """Rank positions induced by a full-coverage greedy run, by node position.
 
     Picks get positions 1..s in pick order; nodes never picked share the
     tie-averaged tail position (s + 1 + n) / 2.
     """
     sel = greedy_select(g, target_coverage=1.0)
     s = len(sel.picks)
-    tail = (s + 1 + g.n) / 2.0
-    vec = {v: tail for v in g.nodes}
-    for i, v in enumerate(sel.picks):
-        vec[v] = float(i + 1)
+    vec = np.full(g.n, (s + 1 + g.n) / 2.0)
+    vec[[g.index[v] for v in sel.picks]] = np.arange(1.0, s + 1)
     return vec
 
 
@@ -213,17 +207,13 @@ def rank_correlation_report(g: DirectedGraph) -> RankCorrelationMatrix:
     of the (negated) centrality scores.  A baseline with all-equal scores has
     no defined rho and reports ``None``.
     """
-    labels = list(g.nodes)
     greedy_vec = greedy_rank_vector(g)
-    xs = [greedy_vec[v] for v in labels]
     entries: dict[str, float | None] = {}
     warnings: list[str] = []
     for method in METHODS[:-1]:
         result = centrality_scores(g, method)
-        scores = result.scores
-        ys = [-scores[v] for v in labels]  # negate: highest score ranks first
-        try:
-            entries[method] = spearman(xs, ys)
+        try:  # negate: highest score ranks first
+            entries[method] = spearman(greedy_vec, -result.values)
         except ValueError:
             entries[method] = None
         if result.warning is not None:
@@ -242,10 +232,12 @@ def pareto_point(
     exists for any threshold in (0, 1].  Greedy stops at the first pick
     reaching the threshold; a baseline's rank-prefix curve is cut by
     :meth:`SelectionResult.reaching`.  An unknown method raises
-    ``ValueError`` from :func:`centrality_scores`.
+    ``ValueError``.
     """
     if not 0.0 < threshold <= 1.0:
         raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "greedy":
         point = greedy_select(g, threshold)
     else:

@@ -58,8 +58,6 @@ def naive_greedy(g: DirectedGraph, target: float) -> SelectionResult:
     """
     if not 0.0 < target <= 1.0:
         raise ValueError(f"target must be in (0, 1], got {target}")
-    if g.n == 0:
-        raise ValueError("cannot select from an empty graph")
     order = sorted(g.nodes, key=lambda v: (-g.in_degree(v), v))
     covered: set[str] = set()
     picks: list[str] = []
@@ -94,24 +92,18 @@ def definitional_centrality(g: DirectedGraph, measure: str) -> CentralityScores:
         raise ValueError(
             f"instance too large: {g.n} nodes exceeds the {MAX_ORACLE_NODES} bound"
         )
-    if measure == "in_degree":
-        scores = {v: float(sum(1 for s, t in g.edges if t == v)) for v in g.nodes}
-        return CentralityScores(measure="in_degree", scores=scores)
-    if measure == "out_degree":
-        scores = {v: float(sum(1 for s, t in g.edges if s == v)) for v in g.nodes}
-        return CentralityScores(measure="out_degree", scores=scores)
-    if measure == "total_degree":
-        scores = {
-            v: float(sum(1 for s, t in g.edges if s == v or t == v)) for v in g.nodes
-        }
-        return CentralityScores(measure="total_degree", scores=scores)
-    if measure == "betweenness":
-        return _definitional_betweenness(g)
-    if measure == "closeness":
-        return _definitional_closeness(g)
-    if measure == "eigenvector":
+    ends = {"out_degree": (0,), "in_degree": (1,), "total_degree": (0, 1)}
+    if measure in ends:  # edges (source, target) with v at a counted end
+        scores = {v: float(sum(e[i] == v for e in g.edges for i in ends[measure])) for v in g.nodes}
+    elif measure == "betweenness":
+        scores = _definitional_betweenness(g)
+    elif measure == "closeness":
+        scores = _definitional_closeness(g)
+    elif measure == "eigenvector":
         return _definitional_eigenvector(g)
-    raise ValueError(f"unknown measure {measure!r}")
+    else:
+        raise ValueError(f"unknown measure {measure!r}")
+    return CentralityScores(measure, g.nodes, np.array([scores[v] for v in g.nodes]))
 
 
 def _bfs_counts(
@@ -133,7 +125,7 @@ def _bfs_counts(
     return dist, count
 
 
-def _definitional_betweenness(g: DirectedGraph) -> CentralityScores:
+def _definitional_betweenness(g: DirectedGraph) -> dict[str, float]:
     fwd = {v: sorted(g.out_neighbors(v)) for v in g.nodes}
     rev = {v: sorted(g.in_neighbors(v)) for v in g.nodes}
     dists: dict[str, dict[str, int]] = {}
@@ -155,10 +147,10 @@ def _definitional_betweenness(g: DirectedGraph) -> CentralityScores:
                 if v in dists[s] and t in dists[v]:
                     if dists[s][v] + dists[v][t] == d_st:
                         scores[v] += fcounts[s][v] * bcounts[t][v] / sigma_st
-    return CentralityScores(measure="betweenness", scores=scores)
+    return scores
 
 
-def _definitional_closeness(g: DirectedGraph) -> CentralityScores:
+def _definitional_closeness(g: DirectedGraph) -> dict[str, float]:
     fwd = {v: sorted(g.out_neighbors(v)) for v in g.nodes}
     scores: dict[str, float] = {}
     for v in g.nodes:
@@ -169,7 +161,7 @@ def _definitional_closeness(g: DirectedGraph) -> CentralityScores:
             scores[v] = 0.0
         else:
             scores[v] = (r / (g.n - 1)) * (r / sum(reachable))
-    return CentralityScores(measure="closeness", scores=scores)
+    return scores
 
 
 def _definitional_eigenvector(g: DirectedGraph) -> CentralityScores:
@@ -189,8 +181,4 @@ def _definitional_eigenvector(g: DirectedGraph) -> CentralityScores:
         vec = np.abs(eigvecs[:, top].real)
         warning = None
     vec = vec / np.linalg.norm(vec)
-    return CentralityScores(
-        measure="eigenvector",
-        scores={v: float(vec[index[v]]) for v in nodes},
-        warning=warning,
-    )
+    return CentralityScores("eigenvector", nodes, vec, warning)

@@ -71,24 +71,32 @@ def test_degree_bad_mode():
 # --- rank ---
 
 
+def scores_of(measure: str, by_label: dict[str, float]) -> CentralityScores:
+    nodes = tuple(sorted(by_label))
+    return CentralityScores(measure, nodes, np.array([by_label[v] for v in nodes]))
+
+
 def test_rank_tie_broken_lexicographically():
-    scores = CentralityScores("in_degree", {"a": 2.0, "b": 5.0, "c": 2.0})
+    scores = scores_of("in_degree", {"a": 2.0, "b": 5.0, "c": 2.0})
     assert to_rank(scores).order == ("b", "a", "c")
 
 
 def test_rank_all_equal_is_lexicographic():
-    scores = CentralityScores("in_degree", {"c": 1.0, "a": 1.0, "b": 1.0})
+    scores = scores_of("in_degree", {"c": 1.0, "a": 1.0, "b": 1.0})
     assert to_rank(scores).order == ("a", "b", "c")
 
 
 def test_rank_strict_comparison_no_epsilon():
-    scores = CentralityScores("closeness", {"x": 1.0, "y": 1.0000001})
+    scores = scores_of("closeness", {"x": 1.0, "y": 1.0000001})
     assert to_rank(scores).order == ("y", "x")
 
 
 def test_rank_positions():
-    scores = CentralityScores("in_degree", {"a": 2.0, "b": 5.0})
-    assert to_rank(scores).positions() == {"b": 1, "a": 2}
+    scores = scores_of("in_degree", {"a": 2.0, "b": 5.0})
+    rank = to_rank(scores)
+    assert (rank.nodes, rank.perm.tolist()) == (("a", "b"), [1, 0])
+    with pytest.raises(ValueError, match="read-only"):
+        rank.perm[0] = 0
 
 
 # --- betweenness ---
@@ -273,14 +281,18 @@ def test_scores_cover_nodes_and_are_finite():
             degree_centrality(g, "total"),
             betweenness_centrality(g),
             closeness_centrality(g),
+            eigenvector_centrality(g),
         ]
-        if g.m > 0:
-            measures.append(eigenvector_centrality(g))
         for cs in measures:
             assert set(cs.scores) == set(g.nodes)
             assert cs.measure in MEASURES
             for x in cs.scores.values():
                 assert math.isfinite(x) and x >= 0.0
+            assert to_rank(cs).order == tuple(
+                sorted(g.nodes, key=lambda v: (-cs.scores[v], v))
+            )
+            with pytest.raises(ValueError, match="read-only"):
+                cs.values[0] = 1.0
 
 
 # --- the shared betweenness/closeness sweep ---

@@ -177,6 +177,13 @@ def test_select_markdown_escapes_pipes_in_labels(tmp_path, capsys):
     assert out.splitlines()[2] == "| 1    | a\\|b | 100%     |"
     # every row has the header's four cell borders once escapes are skipped
     assert {ln.replace("\\|", "").count("|") for ln in out.splitlines()} == {4}
+    # a line feed or carriage return inside a label would split its row
+    p = tmp_path / "lines.json"
+    p.write_text(json.dumps({"nodes": [], "edges": [["x", "a\nb"], ["y", "c\rd"]]}))
+    code, out, _ = run(["select", str(p), "--method", "in_degree", "--k", "3"], capsys)
+    assert code == 0
+    assert out.split("\n")[2:4] == ["| 1    | a\\nb | 50%      |", "| 2    | c\\rd | 100%     |"]
+    assert len(out.split("\n")) == 6  # header, rule, three rows, the empty tail
 
 
 def test_select_greedy_star(star_graph, capsys):
@@ -499,6 +506,10 @@ GOLDEN_COMMANDS = {
     "select_greedy.md": [
         "select", str(GOLDEN / "gen_pa.json"), "--method", "greedy",
         "--target", "0.8",
+    ],
+    "select_rank.json": [
+        "select", str(GOLDEN / "gen_pa.json"), "--method", "betweenness",
+        "--target", "1.0", "--format", "json",
     ],
     "evaluate.csv": [
         "evaluate", str(GOLDEN / "gen_pa.json"), "--format", "csv",

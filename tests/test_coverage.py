@@ -262,8 +262,13 @@ def test_rank_select_k_out_of_range():
 
 def test_rank_select_cumulative_non_decreasing():
     rng = np.random.default_rng(15)
-    for _ in range(10):
+    for trial in range(10):
         g = random_digraph(rng, max_n=20)
-        for method in ("in_degree", "betweenness", "closeness"):
-            res = centrality_rank_select(g, centrality_rank(g, method), g.n)
+        if trial % 2:  # isolated nodes are covered only by picking them
+            g = DirectedGraph.from_edges(g.edges, nodes=[*g.nodes, "iso1", "iso2"])
+        for method in ("in_degree", "betweenness", "closeness", "eigenvector"):
+            rank = centrality_rank(g, method)
+            res = centrality_rank_select(g, rank, g.n)
             assert all(a <= b for a, b in zip(res.cumulative, res.cumulative[1:]))
+            for i, c in enumerate(res.cumulative):
+                assert c == set_coverage(g, rank.order[: i + 1]).fraction
