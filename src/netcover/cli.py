@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
+from functools import partial
+from typing import Callable, TextIO
 
 from . import render
 from .coverage import centrality_rank_select, greedy_select
@@ -55,11 +56,18 @@ def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
     return g
 
 
-def _emit(text: str, out: str | None) -> None:
+#: What a subcommand hands back: its text, or a function that writes it to a file.
+Output = str | Callable[[TextIO], object]
+
+
+def _emit(output: Output, out: str | None) -> None:
+    """Write ``output`` to stdout (looked up now, so redirection holds) or ``out``."""
+    write = output if callable(output) else lambda f: f.write(output)
     if out is None:
-        sys.stdout.write(text)
+        write(sys.stdout)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            write(f)
 
 
 def _add_io_args(sub: argparse.ArgumentParser) -> None:
@@ -179,7 +187,7 @@ def _cmd_correlate(args: argparse.Namespace) -> str:
     return render.render_matrix(matrix, args.format)
 
 
-def _cmd_gen(args: argparse.Namespace) -> str:
+def _cmd_gen(args: argparse.Namespace) -> Output:
     model = _MODEL_ALIASES[args.model]
     if model == "erdos_renyi":
         if args.p is None:
@@ -193,15 +201,15 @@ def _cmd_gen(args: argparse.Namespace) -> str:
         if args.p is not None:
             raise ValueError("--p does not apply to the preferential_attachment model")
         g = gen_preferential(args.n, args.epn, args.seed)
-    return to_json(g) if args.format == "json" else to_csv(g)
+    # written chunk by chunk: the document never exists whole
+    return partial(to_json if args.format == "json" else to_csv, g)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
-        _emit(text, getattr(args, "out", None))
+        _emit(args.handler(args), getattr(args, "out", None))
     except (ParseError, ValueError, LookupError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

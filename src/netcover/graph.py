@@ -7,7 +7,8 @@ positions and ``in_csr`` its in-neighbor positions, each row ascending.
 Every traversal reads the CSRs; labels appear only at the boundary.
 Neighbor label sets are built from a row on demand, ``edges`` (the sorted
 tuple of ``(source, target)`` label pairs) is built from ``csr`` on first
-access, and the serializers walk the CSR with each label encoded once.  Node
+access, and the serializers walk the CSR a chunk of edges at a time, with
+each label encoded once, returning the text or writing it to a file.  Node
 labels are opaque non-empty strings; every ordering decision downstream (rank
 tie-breaks, serialized output, scan order) falls back on plain lexicographic
 label comparison, so graphs built from the same data behave identically run
@@ -38,7 +39,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator
+from operator import add
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -126,24 +128,40 @@ class DirectedGraph:
             raise ParseError("empty graph")
         labels = sorted(ids)
         index = {v: i for i, v in enumerate(labels)}
-        position = np.fromiter(map(index.__getitem__, ids), np.intp, len(index))
-        tails, heads = position[np.frombuffer(flat, np.int64).reshape(-1, 2)].T
-        # int64 keys: no n * n overflow on a 32-bit build
-        keys = (tails.astype(np.int64) * len(labels) + heads)[tails != heads]
+        n = len(labels)
+        # int64 positions, so the keys tail * n + head cannot overflow on a
+        # 32-bit build; each whole-edge array is dropped once it is used
+        position = np.fromiter(map(index.__getitem__, ids), np.int64, n)
+        ends = np.frombuffer(flat, np.int64)
+        keys, heads = position[ends[0::2]], position[ends[1::2]]
+        del ends, flat, append  # append holds flat
+        keep = keys != heads
+        keys *= n
+        keys += heads
+        del heads
+        raw = len(keys)
+        keys = keys[keep]
+        del keep
         keys.sort()
-        unique = keys[np.diff(keys, prepend=-1) != 0]
-        ingest = IngestReport(
-            duplicates=len(keys) - len(unique), self_loops=len(tails) - len(keys)
-        )
-        tails, heads = (a.astype(np.intp) for a in np.divmod(unique, len(labels)))
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        kept = len(keys)
+        keys = keys[first]
+        del first
+        ingest = IngestReport(duplicates=kept - len(keys), self_loops=raw - kept)
+        # the keys are sorted, so the edges are in csr order: rows ascending
+        tails = (keys // n).astype(np.intp, copy=False)
+        heads = np.remainder(keys, n, out=keys).astype(np.intp, copy=False)
+        in_csr = _csr(heads, tails[np.argsort(heads, kind="stable")], n)
+        csr = _csr(tails, heads, n)
         g = cls.__new__(cls)
         setattr_ = object.__setattr__  # the dataclass is frozen
         setattr_(g, "nodes", tuple(labels))
         setattr_(g, "ingest", ingest)
         setattr_(g, "index", index)
-        # the keys are sorted, so each row comes out ascending
-        setattr_(g, "csr", _csr(tails, heads, len(labels)))
-        setattr_(g, "in_csr", _csr(heads, tails, len(labels)))
+        setattr_(g, "csr", csr)
+        setattr_(g, "in_csr", in_csr)
         setattr_(g, "memo", {})
         return g
 
@@ -202,11 +220,10 @@ class DirectedGraph:
         return len(self._row(v, self.csr))
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(indptr, indices)``: ``cols[e]`` in row ``rows[e]``, in ``e`` order."""
+def _csr(rows: np.ndarray, indices: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(indptr, indices)`` of edges given in row order, edge ``e`` in row ``rows[e]``."""
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = cols[np.argsort(rows, kind="stable")]
     indptr.flags.writeable = indices.flags.writeable = False
     return indptr, indices
 
@@ -215,19 +232,6 @@ def _edge_positions(csr: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.
     """``(tails, heads)``: every edge's endpoint positions, in ``csr`` order."""
     indptr, indices = csr
     return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr)), indices
-
-
-def _join_edges(g: DirectedGraph, sources: list[str], targets: list[str]) -> str:
-    """``sources[tail] + targets[head]`` for every edge, in ``csr`` order, joined.
-
-    Both halves are gathered by position from per-node strings, so each
-    label is encoded once and no per-edge string is built.
-    """
-    tails, heads = _edge_positions(g.csr)
-    parts = np.empty(2 * len(heads), dtype=object)
-    parts[0::2] = np.array(sources, dtype=object)[tails]
-    parts[1::2] = np.array(targets, dtype=object)[heads]
-    return "".join(parts.tolist())
 
 
 @dataclass(frozen=True)
@@ -388,19 +392,29 @@ def _parse_json(text: str) -> DirectedGraph:
 
 # ---- serialization ---------------------------------------------------------
 
+#: Edges (and JSON node-list items) per serializer chunk.  The write path
+#: holds one chunk's text at a time, so its peak is the graph plus one chunk.
+_CHUNK = 2**12
 
-def to_csv(g: DirectedGraph) -> str:
+
+def to_csv(g: DirectedGraph, file: TextIO | None = None) -> str | None:
     """CSV edge list with header, edges in sorted order (byte-stable).
 
-    CSV carries edges only: isolated nodes do not round-trip through this
-    format.  Use :func:`to_json` when the node list matters.  Each label is
-    encoded once and the rows are joined from the CSR.  Raises
-    :class:`ValueError` naming the first label with outer whitespace, which
-    the CSV parser would strip.
+    Returns the text, or with ``file`` writes it there chunk by chunk and
+    returns None; the text never exists whole, so writing a graph holds one
+    chunk beyond the graph (``netcover gen`` streams this way).  CSV carries
+    edges only: isolated nodes do not round-trip through this format.  Use
+    :func:`to_json` when the node list matters.  Each label is encoded once.
+    Raises :class:`ValueError` naming the first label with outer whitespace,
+    which the CSV parser would strip, before anything is written.
     """
+    return _write(_csv_chunks(g), file)
+
+
+def _csv_chunks(g: DirectedGraph) -> Iterator[str]:
     cells = [_csv_cell(v) for v in g.nodes]
-    rows = _join_edges(g, [c + "," for c in cells], [c + "\n" for c in cells])
-    return "source,target\n" + rows
+    yield "source,target\n"
+    yield from _edge_chunks(g, [c + "," for c in cells], [c + "\n" for c in cells], "")
 
 
 def _csv_cell(label: str) -> str:
@@ -415,22 +429,63 @@ def _csv_cell(label: str) -> str:
     return label
 
 
-def to_json(g: DirectedGraph) -> str:
+def to_json(g: DirectedGraph, file: TextIO | None = None) -> str | None:
     """JSON graph document with sorted node and edge lists (byte-stable).
 
     The bytes are those of ``json.dumps(doc, indent=2, sort_keys=True)`` plus
     a newline.  That call runs the pure-Python encoder (the C one does not
     indent), so the fixed layout is joined here, over the CSR, from labels
-    each encoded once by the C string encoder.
+    each encoded once by the C string encoder.  Returns the text, or with
+    ``file`` writes it there chunk by chunk and returns None; the text never
+    exists whole, so writing a graph holds one chunk beyond the graph
+    (``netcover gen`` streams this way).
     """
+    return _write(_json_chunks(g), file)
+
+
+def _json_chunks(g: DirectedGraph) -> Iterator[str]:
     code = list(map(encode_basestring_ascii, g.nodes))
-    edges = _join_edges(
-        g, [f"    [\n      {c},\n      " for c in code], [f"{c}\n    ],\n" for c in code]
-    )[:-2]  # no comma after the last edge
-    nodes = ",\n".join(f"    {c}" for c in code)
-    return f'{{\n  "edges": {_json_list(edges)},\n  "nodes": {_json_list(nodes)}\n}}\n'
+    items = [f"    {c}" for c in code]
+    sources = [f"    [\n      {c},\n      " for c in code]
+    targets = [f"{c}\n    ]" for c in code]
+    yield '{\n  "edges": '
+    yield from _json_list(_edge_chunks(g, sources, targets, ",\n"))
+    yield ',\n  "nodes": '
+    yield from _json_list(",\n".join(items[i : i + _CHUNK]) for i in range(0, g.n, _CHUNK))
+    yield "\n}\n"
 
 
-def _json_list(items: str) -> str:
-    """An indented JSON array of already-joined ``items``; ``[]`` when empty."""
-    return f"[\n{items}\n  ]" if items else "[]"
+def _json_list(chunks: Iterator[str]) -> Iterator[str]:
+    """An indented JSON array of items ``",\\n"``-joined in ``chunks``; ``[]`` when none."""
+    sep = "[\n"
+    for text in chunks:
+        yield sep
+        yield text
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
+
+
+def _edge_chunks(
+    g: DirectedGraph, sources: list[str], targets: list[str], sep: str
+) -> Iterator[str]:
+    """``sources[tail] + targets[head]`` for each edge, in ``csr`` order,
+    ``sep``-joined, ``_CHUNK`` edges to a chunk.
+
+    Each chunk gathers its own tails and both halves by position from the
+    per-node strings, so nothing as long as the edge list is built.
+    """
+    indptr, heads = g.csr
+    sources, targets = np.array(sources, dtype=object), np.array(targets, dtype=object)
+    for lo in range(0, g.m, _CHUNK):
+        hi = min(lo + _CHUNK, g.m)
+        tails = np.searchsorted(indptr, np.arange(lo, hi), side="right") - 1
+        yield sep.join(map(add, sources[tails].tolist(), targets[heads[lo:hi]].tolist()))
+
+
+def _write(chunks: Iterator[str], file: TextIO | None) -> str | None:
+    """The joined ``chunks``, or None once they are written to ``file``."""
+    if file is None:
+        return "".join(chunks)
+    for text in chunks:
+        file.write(text)
+    return None

@@ -86,7 +86,7 @@ def definitional_centrality(g: DirectedGraph, measure: str) -> CentralityScores:
     Betweenness multiplies per-source and per-target shortest-path counts
     for every (s, t, v) triple; closeness re-derives the reach-scaled formula
     from raw BFS distances; eigenvector asks a dense eigensolver for the
-    Perron vector.  Guarded to small graphs.
+    Perron vector (all zeros on an edgeless graph).  Guarded to small graphs.
     """
     if g.n > MAX_ORACLE_NODES:
         raise ValueError(
@@ -165,9 +165,10 @@ def _definitional_closeness(g: DirectedGraph) -> dict[str, float]:
 
 
 def _definitional_eigenvector(g: DirectedGraph) -> CentralityScores:
-    if g.m == 0:
-        raise ValueError("eigenvector undefined: graph has no edges")
     nodes = g.nodes
+    if g.m == 0:  # no direction at all: the library's zero scores and warning
+        warning = "edgeless graph: eigenvector undefined, scores zeroed"
+        return CentralityScores("eigenvector", nodes, np.zeros(g.n), warning)
     index = {v: i for i, v in enumerate(nodes)}
     a = np.zeros((g.n, g.n))
     for s, t in g.edges:

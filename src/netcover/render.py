@@ -41,8 +41,9 @@ def _json_doc(doc: object) -> str:
 
 
 def _md_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    # a "|" inside a cell (a node label) would end the cell early, a line end the row
-    escape = str.maketrans({"|": "\\|", "\n": "\\n", "\r": "\\r"})
+    # a "|" inside a cell (a node label) would end the cell early, a line end the
+    # row; a backslash is doubled, so an escape always reads back one way
+    escape = str.maketrans({"\\": "\\\\", "|": "\\|", "\n": "\\n", "\r": "\\r"})
     rows = [[cell.translate(escape) for cell in row] for row in rows]
     widths = [len(h) for h in header]
     for row in rows:

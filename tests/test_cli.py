@@ -184,6 +184,12 @@ def test_select_markdown_escapes_pipes_in_labels(tmp_path, capsys):
     assert code == 0
     assert out.split("\n")[2:4] == ["| 1    | a\\nb | 50%      |", "| 2    | c\\rd | 100%     |"]
     assert len(out.split("\n")) == 6  # header, rule, three rows, the empty tail
+    # a backslash is doubled, so a label's own backslash-n and a line feed differ
+    p = tmp_path / "backslash.json"
+    p.write_text(json.dumps({"nodes": [], "edges": [["x", "a\\nb"], ["y", "a\nb"]]}))
+    code, out, _ = run(["select", str(p), "--method", "in_degree", "--k", "2"], capsys)
+    assert code == 0
+    assert out.split("\n")[2:4] == ["| 1    | a\\nb  | 50%      |", "| 2    | a\\\\nb | 100%     |"]
 
 
 def test_select_greedy_star(star_graph, capsys):
@@ -425,6 +431,16 @@ def test_gen_out_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(dest.read_text())
     assert len(doc["nodes"]) == 8
+
+
+@pytest.mark.parametrize("name", ["gen_pa.json", "gen_er.csv"])
+def test_gen_out_writes_the_stdout_bytes(name, tmp_path, capsys):
+    dest = tmp_path / name
+    argv = GOLDEN_COMMANDS[name]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert run([*argv, "--out", str(dest)], capsys) == (0, "", "")
+    assert dest.read_bytes() == out.encode() == (GOLDEN / name).read_bytes()
 
 
 # --- plumbing ---

@@ -1,5 +1,6 @@
 import csv
 import gc
+import io
 import re
 import tracemalloc
 from pathlib import Path
@@ -12,6 +13,7 @@ from netcover import (
     DirectedGraph,
     ParseError,
     UnknownNodeError,
+    gen_erdos_renyi,
     gen_preferential,
     graph_stats,
     parse_edge_list,
@@ -483,6 +485,67 @@ def test_to_csv_round_trips_or_refuses():
             assert parse_edge_list(to_csv(g), fmt="csv") == without_isolated
             carried += 1
     assert refused > 50 and carried > 50
+
+
+def _serializer_cases():
+    rng = np.random.default_rng(29)
+    graphs = [mixed_digraph(rng) for _ in range(12)]
+    graphs.append(DirectedGraph.from_edges([], nodes=["b", "a", "c"]))
+    graphs.append(DirectedGraph.from_edges([("a", "b"), ("b", "c")], nodes=["l1", "l2"]))
+    golden = Path(__file__).parent / "golden"
+    graphs.append(parse_edge_list((golden / "gen_pa.json").read_text(), fmt="json"))
+    graphs.append(parse_edge_list((golden / "gen_er.csv").read_text(), fmt="csv"))
+    return graphs
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_chunk_boundaries_are_invisible(chunk, monkeypatch):
+    # the same text, returned or written, whatever the number of edges (and
+    # JSON node-list items) per chunk; the goldens come back byte for byte
+    graphs = _serializer_cases()
+    whole = [(to_json(g), to_csv(g)) for g in graphs]
+    golden = Path(__file__).parent / "golden"
+    assert whole[-2][0] == (golden / "gen_pa.json").read_text()
+    assert whole[-1][1] == (golden / "gen_er.csv").read_text()
+    monkeypatch.setattr(graph, "_CHUNK", chunk)
+    for g, texts in zip(graphs, whole):
+        for dump, text in zip((to_json, to_csv), texts):
+            assert dump(g) == text
+            sink = io.StringIO()
+            assert dump(g, sink) is None
+            assert sink.getvalue() == text
+
+
+def test_to_csv_refuses_before_writing():
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=re.escape(repr(" b"))):
+        to_csv(graph_of(("a", " b")), sink)
+    assert sink.getvalue() == ""
+
+
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def test_writing_holds_one_chunk_not_the_document():
+    # ER(500, p) for p = 0.1 and 0.5 (m ~ 25k and 125k): writing either peaks
+    # at about one chunk, not at a share of the document
+    peaks = []
+    for p in (0.1, 0.5):
+        g = gen_erdos_renyi(500, p, 1)
+        size = len(to_json(g))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            to_json(g, _Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 0.1 * peaks[0]
+    assert max(peaks) < size / 4
 
 
 def test_transpose_consistency_and_exact_stats():

@@ -125,10 +125,13 @@ def test_oracle_eigenvector_bidirectional_path():
     assert s["b"] / s["a"] == pytest.approx(math.sqrt(2), abs=1e-10)
 
 
+def edgeless():
+    return DirectedGraph.from_edges([], nodes="abc")
+
+
 def test_oracle_agreement_random_graphs():
     rng = np.random.default_rng(34)
-    for _ in range(20):
-        g = random_digraph(rng, max_n=15)
+    for g in [edgeless()] + [random_digraph(rng, max_n=15) for _ in range(20)]:
         for measure, fast in (
             ("betweenness", betweenness_centrality),
             ("closeness", closeness_centrality),
@@ -147,3 +150,11 @@ def test_oracle_eigenvector_agreement_strongly_connected():
         got = eigenvector_centrality(g).scores
         for v in g.nodes:
             assert got[v] == pytest.approx(want[v], abs=1e-9)
+
+
+def test_oracle_eigenvector_agreement_edgeless():
+    # the zero case of the acyclic fallback: zero scores and the same warning
+    want = definitional_centrality(edgeless(), "eigenvector")
+    got = eigenvector_centrality(edgeless())
+    assert want.scores == got.scores == dict.fromkeys("abc", 0.0)
+    assert want.warning == got.warning == "edgeless graph: eigenvector undefined, scores zeroed"
