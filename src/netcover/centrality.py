@@ -19,14 +19,20 @@ Betweenness and closeness share one all-sources sweep over the graph's CSR
 arrays (:func:`path_centralities`): numpy BFS trees for a block of sources
 side by side, level by level, with every floating-point sum taken in the
 order of the classic one-source-at-a-time loop, so the scores do not depend
-on the block size.
+on the block size.  A level runs top-down over the frontier's out-edges, or
+bottom-up over the unvisited nodes' in-edges when those are fewer (by the
+factor ``_PULL``); bottom-up puts its edges back in top-down order, so the
+direction never changes a bit of the scores.
 
 Closeness has no sweep of its own: it is always read from that one.
 
 The sources fall into contiguous chunks of ``_BLOCK_BUDGET // n`` (each
 chunk's dependency rows are at most 2**16 floats, 512 KiB), and one loop
-walks them.  The calling process sweeps chunk 0 and projects the edges it
-expanded to all n sources.  When that reaches ``_FORK_MIN_VISITS`` (2**22),
+walks them.  The calling process sweeps chunk 0 and projects its edge visits
+to all n sources.  An edge visit is an out-edge of a BFS frontier, what a
+top-down level expands, whichever direction the level ran, so the projection
+and the block sizes do not depend on ``_PULL``.  When the projection reaches
+``_FORK_MIN_VISITS`` (2**22),
 ``os.fork`` and ``os.sched_getaffinity`` exist, the mask holds more than one
 CPU and no other Python thread runs, the remaining chunks go round-robin to
 W workers, one per CPU of the affinity mask: this process and forked
@@ -141,9 +147,34 @@ _BLOCK_BUDGET = 2**16
 #: pipe cost more than the second CPU saves.
 _FORK_MIN_VISITS = 2**22
 
+#: A BFS level runs bottom-up when this many times the in-edges of the
+#: unvisited keys are fewer than the out-edges of its frontier.
+_PULL = 4
+
 # Python 3.12+ warns on fork while numpy's BLAS pool thread runs; the workers
 # call no BLAS, and OpenBLAS registers its own atfork handlers.
 _FORK_WARNING = r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)"
+
+
+def _gather(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    keys: np.ndarray,
+    v: np.ndarray,
+    deg: np.ndarray,
+    ends: np.ndarray,
+) -> np.ndarray:
+    """CSR row ``v[i]`` of each key, concatenated in key order.
+
+    ``v`` is ``keys % n``, ``deg`` the rows' lengths and ``ends`` their
+    running sum.  Each entry comes back keyed in its key's block row, so
+    ``w`` in the row of key ``b * n + v`` becomes ``b * n + w``.
+    """
+    pos = np.repeat(indptr[v] - ends + deg, deg)
+    pos += np.arange(pos.size)
+    nbr = indices[pos]
+    nbr += np.repeat(keys - v, deg)
+    return nbr
 
 
 def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
@@ -157,20 +188,36 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
     reversed discovery order of its children.  Path counts sigma are float64,
     exact below 2**53.
 
+    Each level runs in one of two directions (Beamer et al., SC 2012).
+    Top-down expands the frontier's out-edges.  When ``_PULL`` times the
+    in-edges of the still unvisited keys is fewer than those out-edges, the
+    level runs bottom-up instead: it expands the unvisited keys' in-edges
+    and keeps those from the frontier.  Either way the level's DAG edges are
+    the edges frontier -> unvisited; bottom-up sorts them into top-down order
+    (frontier order, then head ascending), so the arrays that follow, and
+    the scores, are the same bit for bit.
+
     Yields ``(sources, reached, closeness, rows, visits, block)`` per block:
     the closeness of the ``reached`` sources (those reaching any node), the
-    block's B x n dependency rows, the edges its BFS expanded, and the size
-    of the next block.
+    block's B x n dependency rows, the out-edges of every frontier (what a
+    top-down BFS expands, whichever direction ran), and the size of the
+    next block.
     """
     n = g.n
     indptr, indices = g.csr
+    in_indptr, in_indices = g.in_csr
+    out_degree = np.diff(indptr)
+    in_degree = np.diff(in_indptr)
     while lo < hi:
         sources = np.arange(lo, min(lo + block, hi))
         lo += sources.size
-        peak = 1  # edges expanded by the busiest level
+        peak = 1  # out-edges of the busiest level's frontier
         visits = 0
         size = sources.size * n
         frontier = np.arange(sources.size) * n + sources
+        v = sources
+        # in-edges of the unvisited keys: when none is left, nothing can be found
+        unseen = sources.size * g.m - int(in_degree[sources].sum())
         dist = np.full(size, -1, dtype=np.intp)
         dist[frontier] = 0
         first = np.empty(size, dtype=np.intp)  # scratch: first edge, then rank
@@ -181,39 +228,56 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
         reached = np.zeros(sources.size, dtype=np.int64)
         total = np.zeros(sources.size, dtype=np.int64)
         while True:
-            # Every out-edge of the frontier, frontier order, neighbors ascending.
-            v = frontier % n
-            starts = indptr[v]
-            deg = indptr[v + 1] - starts
-            pos = np.repeat(starts - np.cumsum(deg) + deg, deg)
-            pos += np.arange(pos.size)
-            head = indices[pos]
-            head += np.repeat(frontier - v, deg)
-            peak = max(peak, head.size)
-            visits += head.size
-            # flatnonzero + take: much faster than a boolean mask index here.
-            fresh = np.flatnonzero(dist[head] < 0)
-            if not fresh.size:
-                break
-            head = head[fresh]
+            deg = out_degree[v]
+            ends = np.cumsum(deg)
+            out = int(ends[-1])
+            peak = max(peak, out)
+            visits += out
+            depth = len(levels)
+            if _PULL * unseen < out:
+                if not unseen:
+                    break
+                # In-edges of every unvisited key; keep those from the frontier.
+                keys = np.flatnonzero(dist < 0)
+                u = keys % n
+                in_deg = in_degree[u]
+                tail = _gather(in_indptr, in_indices, keys, u, in_deg, np.cumsum(in_deg))
+                kept = np.flatnonzero(dist[tail] == depth - 1)
+                if not kept.size:
+                    break
+                tail = tail[kept]
+                head = np.repeat(keys, in_deg)[kept]
+                # Top-down order: frontier order, then head ascending.
+                first[frontier] = np.arange(frontier.size)
+                order = np.argsort(first[tail] * n + head % n)
+                tail, head = tail[order], head[order]
+            else:
+                # Every out-edge of the frontier, frontier order, neighbors ascending.
+                head = _gather(indptr, indices, frontier, v, deg, ends)
+                # flatnonzero + take: much faster than a boolean mask index here.
+                fresh = np.flatnonzero(dist[head] < 0)
+                if not fresh.size:
+                    break
+                head = head[fresh]
+                tail = np.repeat(frontier, deg)[fresh]
             # FIFO order: a node joins the next level at the first edge that
             # reaches it, and edges come out in frontier order.
             at = np.arange(head.size)
             first[head] = head.size
             np.minimum.at(first, head, at)
             nxt = head[np.flatnonzero(first[head] == at)]
-            depth = len(levels)
             dist[nxt] = depth
             found = np.bincount(nxt // n, minlength=sources.size)
             reached += found
             total += depth * found
-            tail = np.repeat(frontier, deg)[fresh]
             first[nxt] = np.arange(nxt.size)
             rank = first[head]
             sigma[nxt] = np.bincount(rank, weights=sigma[tail], minlength=nxt.size)
             dag.append((tail, rank))
             levels.append(nxt)
             frontier = nxt
+            v = nxt % n
+            unseen -= int(in_degree[v].sum())
 
         block = max(1, min(_BLOCK_BUDGET // n, _BLOCK_BUDGET * sources.size // peak))
         some = np.flatnonzero(reached)
@@ -223,15 +287,17 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
         for depth in range(len(levels) - 1, 0, -1):
             children = levels[depth]
             coeff = (1.0 + delta[children]) / sigma[children]
-            # Children in reversed discovery order; one child's edges have
-            # distinct parents, so their order among themselves is free.
             tail, rank = dag[depth]
-            order = np.argsort(-rank)
-            tail, rank = tail[order], rank[order]
             parents = levels[depth - 1]
             first[parents] = np.arange(parents.size)
+            parent = first[tail]
+            # Each parent's children in reversed discovery order.  The edges
+            # come grouped by parent, in frontier order, so the stable sort
+            # (timsort) mostly merges runs; it beats sorting by rank alone.
+            order = np.argsort(parent * children.size - rank, kind="stable")
+            weights = sigma[tail] * coeff[rank]
             delta[parents] = np.bincount(
-                first[tail], weights=sigma[tail] * coeff[rank], minlength=parents.size
+                parent[order], weights=weights[order], minlength=parents.size
             )
         delta[levels[0]] = 0.0
         rows = delta.reshape(sources.size, n)
@@ -409,9 +475,15 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityScores:
     result is bit-for-bit that of the one-source-at-a-time loop.  Path
     counts sigma are float64, exact below 2**53, as in networkx.
 
+    Each BFS level expands the frontier's out-edges or, when those are
+    more than ``_PULL`` (4) times as many, the unvisited nodes' in-edges;
+    both find the same shortest-path edges, taken in the same order, so the
+    direction does not move a bit.
+
     The sources fall into chunks whose rows are at most 2**16 floats, swept
     by one loop.  On a graph whose sweep projects to at least 2**22 edge
-    visits, the chunks after the first run on every CPU of the process's
+    visits (out-edges of BFS frontiers, whichever direction a level ran),
+    the chunks after the first run on every CPU of the process's
     affinity mask (forked children, none outliving the call); the parent
     still adds their rows in source order, so the scores do not depend on
     the CPU count, and a worker that dies raises ``RuntimeError``.

@@ -72,7 +72,7 @@ class SelectionResult:
 
 def node_coverage(g: DirectedGraph, v: str) -> frozenset[str]:
     """The node itself plus everyone with an edge into it."""
-    return g.in_neighbors(v) | {v}
+    return frozenset([v, *map(g.nodes.__getitem__, g._row(v, g.in_csr).tolist())])
 
 
 def set_coverage(g: DirectedGraph, selected: Iterable[str]) -> CoverageSet:
@@ -100,11 +100,19 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
     if not 0.0 < target_coverage <= 1.0:
         raise ValueError(f"target_coverage must be in (0, 1], got {target_coverage}")
 
-    # scan order, in-degree descending then label; sorted, so already a heap
+    # scan order, in-degree descending then label (``nodes`` is sorted, so a
+    # stable sort keeps ties in label order); sorted, so already a heap
     neg_bounds = -1 - np.diff(g.in_csr[0])  # -(in_degree + 1)
-    ranked = sorted(zip(neg_bounds.tolist(), g.nodes))
-    heap = [(neg_bound, i, v, -1) for i, (neg_bound, v) in enumerate(ranked)]
+    order = np.argsort(neg_bounds, kind="stable")
     n = g.n
+    heap = list(
+        zip(
+            neg_bounds[order].tolist(),
+            range(n),
+            map(g.nodes.__getitem__, order.tolist()),
+            [-1] * n,
+        )
+    )
     covered: set[str] = set()
     picks: list[str] = []
     cumulative: list[float] = []

@@ -17,6 +17,7 @@ from netcover import (
     eigenvector_centrality,
     gen_erdos_renyi,
     gen_preferential,
+    parse_edge_list,
     path_centralities,
     to_rank,
 )
@@ -366,6 +367,62 @@ def test_path_sweep_block_boundaries(monkeypatch):
             assert _scores_by_index(closeness_centrality(fresh())) == want[1:]
 
 
+# --- the direction of each BFS level ---
+
+# _PULL = 0 runs every level that has unvisited in-edges bottom-up, inf runs
+# every level top-down
+DIRECTIONS = [0, math.inf]
+
+
+@pytest.mark.parametrize("pull", DIRECTIONS)
+def test_path_sweep_direction_bit_identical(pull, monkeypatch):
+    monkeypatch.setattr(centrality_mod, "_PULL", pull)
+    for name in sorted(_RECORDED):
+        g = _BUILD[name]()
+        betweenness, closeness = path_centralities(g)
+        assert (_sha256(g, betweenness), _sha256(g, closeness)) == _RECORDED[name]
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        h = random_digraph(rng, max_n=25)
+        g = DirectedGraph.from_edges(h.edges, nodes=h.nodes + ("zz1", "zz2"))
+        want = list(scalar_path_centralities(g))
+        assert _scores_by_index(*path_centralities(g)) == want
+
+
+def _gathered_rows(monkeypatch) -> list[np.ndarray]:
+    """The ``indptr`` of the CSR each BFS level of the sweep expands."""
+    rows = []
+    gather = centrality_mod._gather
+
+    def counted(indptr, *args):
+        rows.append(indptr)
+        return gather(indptr, *args)
+
+    monkeypatch.setattr(centrality_mod, "_gather", counted)
+    return rows
+
+
+def _golden_er() -> DirectedGraph:
+    return parse_edge_list((Path(__file__).parent / "golden" / "gen_er.csv").read_text())
+
+
+@pytest.mark.parametrize("build", [_BUILD["er300"], _golden_er], ids=["er300", "golden"])
+def test_path_sweep_runs_levels_both_ways(build, monkeypatch):
+    """By default some levels run bottom-up, the CLI goldens' cyclic graph's
+    included; with ``_PULL = inf`` none does."""
+    rows = _gathered_rows(monkeypatch)
+    g = build()
+    path_centralities(g)
+    up = sum(indptr is g.in_csr[0] for indptr in rows)
+    down = sum(indptr is g.csr[0] for indptr in rows)
+    assert up and down and up + down == len(rows)
+    rows.clear()
+    monkeypatch.setattr(centrality_mod, "_PULL", math.inf)
+    g = build()
+    path_centralities(g)
+    assert rows and all(indptr is g.csr[0] for indptr in rows)
+
+
 def test_path_sweep_runs_once_per_graph(monkeypatch):
     g = gen_erdos_renyi(40, 0.1, 2)
     calls = []
@@ -477,6 +534,20 @@ def _failing_blocks(monkeypatch, in_parent: bool) -> None:
         return blocks(g, lo, hi, block)
 
     monkeypatch.setattr(centrality_mod, "_blocks", failing)
+
+
+@pytest.mark.parametrize("pull", DIRECTIONS)
+@pytest.mark.parametrize("w", [2, 3])
+def test_forked_sweep_direction_bit_identical(w, pull, forking, monkeypatch):
+    workers, forks = forking
+    workers(w)
+    monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", 2**12)
+    monkeypatch.setattr(centrality_mod, "_PULL", pull)
+    for name in sorted(_RECORDED):
+        g = _BUILD[name]()
+        betweenness, closeness = path_centralities(g)
+        assert (_sha256(g, betweenness), _sha256(g, closeness)) == _RECORDED[name]
+    assert len(forks) == len(_RECORDED) * (w - 1)
 
 
 def test_forked_sweep_worker_failure_raises(forking, monkeypatch, capsys):

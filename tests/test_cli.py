@@ -533,6 +533,14 @@ GOLDEN_COMMANDS = {
     "correlate.json": [
         "correlate", str(GOLDEN / "gen_pa.json"), "--format", "json",
     ],
+    # gen_er.csv has cycles, so its sweep runs BFS levels in both directions
+    "evaluate_er.csv": [
+        "evaluate", str(GOLDEN / "gen_er.csv"), "--format", "csv",
+    ],
+    "select_closeness_er.json": [
+        "select", str(GOLDEN / "gen_er.csv"), "--method", "closeness",
+        "--target", "1.0", "--format", "json",
+    ],
 }
 
 
