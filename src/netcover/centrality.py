@@ -188,14 +188,12 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
     reversed discovery order of its children.  Path counts sigma are float64,
     exact below 2**53.
 
-    Each level runs in one of two directions (Beamer et al., SC 2012).
-    Top-down expands the frontier's out-edges.  When ``_PULL`` times the
-    in-edges of the still unvisited keys is fewer than those out-edges, the
-    level runs bottom-up instead: it expands the unvisited keys' in-edges
-    and keeps those from the frontier.  Either way the level's DAG edges are
-    the edges frontier -> unvisited; bottom-up sorts them into top-down order
-    (frontier order, then head ascending), so the arrays that follow, and
-    the scores, are the same bit for bit.
+    Each level runs top-down or bottom-up (Beamer et al., SC 2012), by the
+    rule in the module docstring.  Bottom-up expands the unvisited keys'
+    in-edges and keeps those from the frontier.  Either way the level's DAG
+    edges are the edges frontier -> unvisited; bottom-up sorts them into
+    top-down order (frontier order, then head ascending), so the arrays that
+    follow, and the scores, are the same bit for bit.
 
     Yields ``(sources, reached, closeness, rows, visits, block)`` per block:
     the closeness of the ``reached`` sources (those reaching any node), the
@@ -310,11 +308,11 @@ def _path_sweep(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
     Sources fall into chunks of ``chunk``, swept by :func:`_blocks` in
     ascending order, and each source's dependency row is added to the totals
     one by one, so every floating-point sum runs in the order of the
-    one-source-at-a-time loop.  This process sweeps chunk 0 and projects its
-    edge visits to all n sources; :func:`_workers` turns that into W workers.
-    Chunk i >= 1 goes to worker ``(i - 1) % W``: worker 0 is this process,
-    the others are forked children that send each chunk back over a pipe as
-    its closeness values followed by its dependency rows.  W = 1 is the
+    one-source-at-a-time loop.  After chunk 0, :func:`_workers` picks W by
+    the rule in the module docstring.  Chunk i >= 1 goes to worker
+    ``(i - 1) % W``: worker 0 is this process, the others are forked
+    children that send each chunk back over a pipe as its closeness values
+    followed by its dependency rows.  W = 1 is the
     serial sweep.  Whether the sweep ends or raises, every child still
     running is killed and reaped.
     """
@@ -472,21 +470,13 @@ def betweenness_centrality(g: DirectedGraph) -> CentralityScores:
     fixed order: each node's dependency sums its children's contributions in
     reversed BFS discovery order (neighbors ascending in ``csr``), and
     sources are added to the total in sorted node order, one by one.  The
-    result is bit-for-bit that of the one-source-at-a-time loop.  Path
-    counts sigma are float64, exact below 2**53, as in networkx.
+    result is bit-for-bit that of the one-source-at-a-time loop, whichever
+    direction each BFS level runs and however many CPUs share the sweep
+    (the module docstring has the rules).  Path counts sigma are float64,
+    exact below 2**53, as in networkx.
 
-    Each BFS level expands the frontier's out-edges or, when those are
-    more than ``_PULL`` (4) times as many, the unvisited nodes' in-edges;
-    both find the same shortest-path edges, taken in the same order, so the
-    direction does not move a bit.
-
-    The sources fall into chunks whose rows are at most 2**16 floats, swept
-    by one loop.  On a graph whose sweep projects to at least 2**22 edge
-    visits (out-edges of BFS frontiers, whichever direction a level ran),
-    the chunks after the first run on every CPU of the process's
-    affinity mask (forked children, none outliving the call); the parent
-    still adds their rows in source order, so the scores do not depend on
-    the CPU count, and a worker that dies raises ``RuntimeError``.
+    A large sweep runs on forked children, none outliving the call; a
+    worker that dies raises ``RuntimeError``.
     """
     return path_centralities(g)[0]
 

@@ -43,7 +43,7 @@ def _warn(*messages: str | None) -> None:
 def _load_graph(path: str, fmt: str | None) -> DirectedGraph:
     """Parse the input file; report dropped rows as one stderr warning."""
     # untranslated line ends: a \r inside a quoted CSV cell survives
-    with open(path, encoding="utf-8-sig", newline="") as f:
+    with open(path, encoding="utf-8", newline="") as f:
         text = f.read()
     if fmt is None:
         fmt = "json" if path.lower().endswith(".json") else "csv"

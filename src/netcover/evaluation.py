@@ -61,6 +61,13 @@ def centrality_rank(g: DirectedGraph, method: str) -> Rank:
     return to_rank(centrality_scores(g, method))
 
 
+def _baselines(g: DirectedGraph) -> tuple[dict[str, CentralityScores], tuple[str, ...]]:
+    """Each baseline's scores in ``METHODS`` order, and their warnings in that order."""
+    scores = {method: centrality_scores(g, method) for method in METHODS[:-1]}
+    warnings = tuple(s.warning for s in scores.values() if s.warning is not None)
+    return scores, warnings
+
+
 @dataclass(frozen=True)
 class CoverageTable:
     """Coverage fraction per (k, method); columns are non-decreasing in k.
@@ -120,23 +127,18 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
         raise ValueError(f"max k {ks[-1]} exceeds node count {g.n}")
     ks = tuple(int(k) for k in ks)  # an integral float such as 2.0 cannot index
 
+    scores, warnings = _baselines(g)
     columns: dict[str, tuple[float, ...]] = {}
-    warnings: list[str] = []
-    for method in METHODS[:-1]:
-        rank = centrality_rank(g, method)
-        prefix = centrality_rank_select(g, rank, ks[-1]).cumulative
+    for method, result in scores.items():
+        prefix = centrality_rank_select(g, to_rank(result), ks[-1]).cumulative
         columns[method] = tuple(prefix[k - 1] for k in ks)
-        if rank.warning is not None:
-            warnings.append(rank.warning)
 
     greedy = greedy_select(g, target_coverage=1.0)
     greedy_curve = greedy.cumulative
     last = len(greedy_curve) - 1
     columns["greedy"] = tuple(greedy_curve[min(k - 1, last)] for k in ks)
 
-    return CoverageTable(
-        ks=ks, methods=METHODS, columns=columns, warnings=tuple(warnings)
-    )
+    return CoverageTable(ks=ks, methods=METHODS, columns=columns, warnings=warnings)
 
 
 # ---- Spearman rank correlation ----------------------------------------------
@@ -208,19 +210,14 @@ def rank_correlation_report(g: DirectedGraph) -> RankCorrelationMatrix:
     no defined rho and reports ``None``.
     """
     greedy_vec = greedy_rank_vector(g)
+    scores, warnings = _baselines(g)
     entries: dict[str, float | None] = {}
-    warnings: list[str] = []
-    for method in METHODS[:-1]:
-        result = centrality_scores(g, method)
+    for method, result in scores.items():
         try:  # negate: highest score ranks first
             entries[method] = spearman(greedy_vec, -result.values)
         except ValueError:
             entries[method] = None
-        if result.warning is not None:
-            warnings.append(result.warning)
-    return RankCorrelationMatrix(
-        reference="greedy", entries=entries, warnings=tuple(warnings)
-    )
+    return RankCorrelationMatrix(reference="greedy", entries=entries, warnings=warnings)
 
 
 def pareto_point(

@@ -272,8 +272,9 @@ def parse_edge_list(text: str, fmt: str = "csv") -> DirectedGraph:
 
     Raises :class:`ParseError` on malformed rows (with a line number for
     CSV), and :meth:`DirectedGraph.from_edges` raises it on input that yields
-    no nodes at all.
+    no nodes at all.  A leading UTF-8 byte-order mark is dropped first.
     """
+    text = text.removeprefix("\ufeff")
     if fmt == "csv":
         return DirectedGraph.from_edges(_csv_pairs(text))
     if fmt == "json":

@@ -476,7 +476,8 @@ def forking(monkeypatch, forks):
 
 def test_fork_decision_at_the_real_threshold(forks, monkeypatch):
     """On two CPUs the survey-pa shape sweeps serially and the flat-er shape
-    forks one worker."""
+    forks one worker, with the bits of the serial sweep.  Its default chunks
+    (about 516 KB) outgrow a 64 KiB pipe buffer, so each takes several reads."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     g = gen_preferential(1500, 10, 1)
     assert betweenness_centrality(g).scores
@@ -484,6 +485,12 @@ def test_fork_decision_at_the_real_threshold(forks, monkeypatch):
     g = gen_erdos_renyi(1500, 0.0067, 1)
     assert betweenness_centrality(g).scores
     assert len(forks) == 1
+    forked = path_centralities(g)
+    monkeypatch.setattr(centrality_mod, "_FORK_MIN_VISITS", math.inf)
+    serial = path_centralities(gen_erdos_renyi(1500, 0.0067, 1))
+    assert len(forks) == 1
+    for f, s in zip(forked, serial):
+        assert f.values.tobytes() == s.values.tobytes()
 
 
 @pytest.mark.parametrize("w", [2, 3])

@@ -212,6 +212,20 @@ def test_parse_json_malformed(text):
         parse_edge_list(text, fmt="json")
 
 
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("csv", "source,target\na,b\nb,c\n"),
+        ("json", '{"nodes": ["a", "b", "c", "d"], "edges": [["a", "b"], ["b", "c"]]}'),
+    ],
+    ids=["csv", "json"],
+)
+def test_parse_drops_a_leading_byte_order_mark(fmt, text):
+    # spreadsheet "CSV UTF-8" exports start with one; kept, it would hide the
+    # header in the first label or break JSON decoding
+    assert parse_edge_list("\ufeff" + text, fmt) == parse_edge_list(text, fmt)
+
+
 # --- construction ---
 
 
