@@ -30,11 +30,11 @@ print("greedy picks:", res.picks, "cumulative:", res.cumulative)
 # the same budget spent on an in-degree prefix can cover less: overlapping
 # in-neighborhoods pay twice for the same people
 big = gen_preferential(100, 4, seed=9)
+# (each selector returns its whole curve; truncated cuts it at a budget)
 greedy = greedy_select(big, 1.0)
-rank = centrality_rank(big, "in_degree")
+by_rank = centrality_rank_select(big, centrality_rank(big, "in_degree"))
 for k in (1, 3, 5, 10):
-    by_rank = centrality_rank_select(big, rank, k)
     print(
-        f"k={k:2d}  greedy={greedy.cumulative[min(k, len(greedy.picks)) - 1]:.2f}"
-        f"  in_degree={by_rank.cumulative[-1]:.2f}"
+        f"k={k:2d}  greedy={greedy.truncated(k).cumulative[-1]:.2f}"
+        f"  in_degree={by_rank.truncated(k).cumulative[-1]:.2f}"
     )

@@ -14,7 +14,7 @@ from functools import partial
 from typing import Callable, TextIO
 
 from . import render
-from .coverage import centrality_rank_select, greedy_select
+from .coverage import _check_fraction, centrality_rank_select, greedy_select
 from .evaluation import (
     METHODS,
     centrality_rank,
@@ -149,20 +149,21 @@ def _cmd_stats(args: argparse.Namespace) -> str:
 
 def _cmd_select(args: argparse.Namespace) -> str:
     g = _load_graph(args.graph, args.input_format)
+    # a bad request fails here, before any centrality work
+    if args.k is not None and not 1 <= args.k <= g.n:
+        raise ValueError(f"k must be in [1, {g.n}], got {args.k}")
+    if args.target is not None:
+        _check_fraction("target", args.target)
     if args.method == "greedy":
-        if args.target is not None:
-            sel = greedy_select(g, args.target)
-        else:
-            if not 1 <= args.k <= g.n:
-                raise ValueError(f"k must be in [1, {g.n}], got {args.k}")
-            sel = greedy_select(g, 1.0).truncated(args.k)
+        sel = greedy_select(g, 1.0 if args.target is None else args.target)
     else:
         rank = centrality_rank(g, args.method)
         _warn(rank.warning)
-        if args.k is not None:
-            sel = centrality_rank_select(g, rank, args.k)
-        else:
-            sel = centrality_rank_select(g, rank, g.n).reaching(args.target)
+        sel = centrality_rank_select(g, rank)
+        if args.target is not None:
+            sel = sel.reaching(args.target)
+    if args.k is not None:
+        sel = sel.truncated(args.k)
     return render.render_selection(sel, args.format)
 
 

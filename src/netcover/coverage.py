@@ -37,6 +37,12 @@ class CoverageSet:
     fraction: float
 
 
+def _check_fraction(name: str, value: float) -> None:
+    """Reject a coverage fraction outside (0, 1]."""
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must be in (0, 1], got {value}")
+
+
 @dataclass(frozen=True)
 class SelectionResult:
     """Ordered picks with coverage after each pick.
@@ -62,8 +68,7 @@ class SelectionResult:
 
     def reaching(self, target: float) -> "SelectionResult":
         """Shortest prefix whose coverage reaches ``target`` (all picks if none does)."""
-        if not 0.0 < target <= 1.0:
-            raise ValueError(f"target must be in (0, 1], got {target}")
+        _check_fraction("target", target)
         k = next(
             (i + 1 for i, c in enumerate(self.cumulative) if c >= target), len(self.picks)
         )
@@ -97,8 +102,7 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
     itself, so every round makes progress and the run stops at exactly the
     first pick reaching the target.
     """
-    if not 0.0 < target_coverage <= 1.0:
-        raise ValueError(f"target_coverage must be in (0, 1], got {target_coverage}")
+    _check_fraction("target_coverage", target_coverage)
 
     # scan order, in-degree descending then label (``nodes`` is sorted, so a
     # stable sort keeps ties in label order); sorted, so already a heap
@@ -136,26 +140,25 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
     )
 
 
-def centrality_rank_select(g: DirectedGraph, rank: Rank, k: int) -> SelectionResult:
-    """Take the first ``k`` nodes of a rank, with coverage after each pick.
+def centrality_rank_select(g: DirectedGraph, rank: Rank) -> SelectionResult:
+    """Every node in rank order, with coverage after each pick.
 
-    This is the one rank-prefix coverage routine: evaluation tables read its
-    ``cumulative`` curve, and :meth:`SelectionResult.reaching` cuts it at a
-    coverage target.  A node is first covered by the best-ranked of itself
-    and the nodes it names, so one pass over ``g.csr`` gives the whole curve.
+    This is the one rank-prefix coverage routine.  It returns the whole
+    curve; callers cut it with :meth:`SelectionResult.truncated` at a budget
+    or :meth:`SelectionResult.reaching` at a coverage target.  A node is
+    first covered by the best-ranked of itself and the nodes it names, so one
+    pass over ``g.csr`` gives the whole curve.
     """
-    if not 1 <= k <= g.n:
-        raise ValueError(f"k must be in [1, {g.n}], got {k}")
     if rank.nodes != g.nodes:
         raise ValueError("rank does not cover the graph's node set")
     at = np.argsort(rank.perm)  # each node's place in the rank
     indptr, indices = g.csr
     first = at.copy()
     np.minimum.at(first, np.repeat(np.arange(g.n), np.diff(indptr)), at[indices])
-    cumulative = np.cumsum(np.bincount(first, minlength=g.n)[:k]) / g.n
+    cumulative = np.cumsum(np.bincount(first, minlength=g.n)) / g.n
     return SelectionResult(
         method=rank.measure,
-        picks=rank.order[:k],
+        picks=rank.order,
         cumulative=tuple(cumulative.tolist()),
         target=None,
     )

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import centrality as _centrality
 from .centrality import CentralityScores, Rank, to_rank
-from .coverage import centrality_rank_select, greedy_select
+from .coverage import _check_fraction, centrality_rank_select, greedy_select
 from .graph import DirectedGraph
 
 #: Table column order; greedy is compared against the first four.
@@ -112,9 +112,10 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
     """Coverage-vs-k grid for every method.
 
     ``ks`` must be strictly ascending positive counts bounded by the node
-    count.  Centrality columns truncate the method's rank at each k; the
-    greedy column truncates one greedy run to full coverage (greedy picks are
-    prefix-stable, so truncation equals rerunning with a smaller budget).
+    count.  Each method yields one whole curve: a baseline's rank-prefix
+    curve, and greedy run to full coverage (greedy picks are prefix-stable,
+    so a cut equals rerunning with a smaller budget).  Every column reads its
+    curve cut with :meth:`SelectionResult.truncated` at each k.
     """
     ks = tuple(ks)
     if not ks:
@@ -128,16 +129,9 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
     ks = tuple(int(k) for k in ks)  # an integral float such as 2.0 cannot index
 
     scores, warnings = _baselines(g)
-    columns: dict[str, tuple[float, ...]] = {}
-    for method, result in scores.items():
-        prefix = centrality_rank_select(g, to_rank(result), ks[-1]).cumulative
-        columns[method] = tuple(prefix[k - 1] for k in ks)
-
-    greedy = greedy_select(g, target_coverage=1.0)
-    greedy_curve = greedy.cumulative
-    last = len(greedy_curve) - 1
-    columns["greedy"] = tuple(greedy_curve[min(k - 1, last)] for k in ks)
-
+    curves = {m: centrality_rank_select(g, to_rank(s)) for m, s in scores.items()}
+    curves["greedy"] = greedy_select(g, target_coverage=1.0)
+    columns = {m: tuple(c.truncated(k).cumulative[-1] for k in ks) for m, c in curves.items()}
     return CoverageTable(ks=ks, methods=METHODS, columns=columns, warnings=warnings)
 
 
@@ -231,14 +225,13 @@ def pareto_point(
     :meth:`SelectionResult.reaching`.  An unknown method raises
     ``ValueError``.
     """
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    _check_fraction("threshold", threshold)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "greedy":
         point = greedy_select(g, threshold)
     else:
-        point = centrality_rank_select(g, centrality_rank(g, method), g.n).reaching(threshold)
+        point = centrality_rank_select(g, centrality_rank(g, method)).reaching(threshold)
     k = len(point.picks)
     return ParetoPoint(
         method=method, k=k, node_fraction=k / g.n, coverage=point.cumulative[-1]

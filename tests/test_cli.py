@@ -264,6 +264,29 @@ def test_select_target_out_of_range(star_graph, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--method", "betweenness", "--target", "1.5"],
+        ["--method", "closeness", "--k", "0"],
+        ["--method", "betweenness", "--k", "6"],  # n + 1 on the star
+    ],
+    ids=["target-1.5", "k-0", "k-n+1"],
+)
+def test_select_bad_request_does_no_work(argv, star_graph, monkeypatch, capsys):
+    # the request is checked before the betweenness/closeness sweep runs
+    import netcover.centrality as centrality_mod
+
+    def no_sweep(_):
+        raise RuntimeError("swept before checking the request")
+
+    monkeypatch.setattr(centrality_mod, "_path_sweep", no_sweep)
+    code, out, err = run(["select", star_graph, *argv], capsys)
+    assert code == 2
+    assert err.startswith("error:")
+    assert out == ""
+
+
 # --- evaluate ---
 
 
@@ -418,6 +441,20 @@ def test_gen_wrong_parameter_for_model(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "model, name",
+    [
+        (["er", "--p", "0.1", "--epn", "3"], "erdos_renyi"),
+        (["pa", "--epn", "3", "--p", "0.1"], "preferential_attachment"),
+    ],
+)
+def test_gen_parameter_of_the_other_model(model, name, capsys):
+    # both parameters given: the one the model does not take is named
+    argv = ["gen", "--model", *model, "--n", "10", "--seed", "1"]
+    err = f"error: {model[3]} does not apply to the {name} model\n"
+    assert run(argv, capsys) == (2, "", err)
+
+
 def test_gen_out_file(tmp_path, capsys):
     dest = tmp_path / "g.json"
     code, out, _ = run(
@@ -540,6 +577,15 @@ GOLDEN_COMMANDS = {
     "select_closeness_er.json": [
         "select", str(GOLDEN / "gen_er.csv"), "--method", "closeness",
         "--target", "1.0", "--format", "json",
+    ],
+    # a budget cuts a rank curve and a full-coverage greedy run alike
+    "select_k_in_degree.csv": [
+        "select", str(GOLDEN / "gen_pa.json"), "--method", "in_degree",
+        "--k", "5", "--format", "csv",
+    ],
+    "select_k_greedy.json": [
+        "select", str(GOLDEN / "gen_er.csv"), "--method", "greedy",
+        "--k", "3", "--format", "json",
     ],
 }
 

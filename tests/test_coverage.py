@@ -231,7 +231,7 @@ def test_truncated():
 def test_rank_select_two_hubs():
     g = two_stars()
     rank = centrality_rank(g, "in_degree")
-    res = centrality_rank_select(g, rank, 2)
+    res = centrality_rank_select(g, rank).truncated(2)
     assert res.picks == ("h1", "h2")
     assert res.cumulative[-1] == 1.0
 
@@ -239,7 +239,8 @@ def test_rank_select_two_hubs():
 def test_rank_select_k_equals_n():
     g = two_hubs()
     rank = centrality_rank(g, "closeness")
-    res = centrality_rank_select(g, rank, g.n)
+    res = centrality_rank_select(g, rank)
+    assert len(res.picks) == g.n
     assert res.cumulative[-1] == 1.0
 
 
@@ -248,16 +249,36 @@ def test_rank_select_k1_max_in_degree():
     for _ in range(10):
         g = random_digraph(rng, max_n=20)
         rank = centrality_rank(g, "in_degree")
-        res = centrality_rank_select(g, rank, 1)
+        res = centrality_rank_select(g, rank).truncated(1)
         assert res.cumulative[0] == (max(g.in_degree(v) for v in g.nodes) + 1) / g.n
 
 
-def test_rank_select_k_out_of_range():
+def test_truncated_k_below_one():
+    # the curve is cut by truncated, which rejects only k < 1; the CLI bounds
+    # --k by the node count (test_select_bad_request_does_no_work)
     g = two_hubs()
-    rank = centrality_rank(g, "in_degree")
-    for bad in (0, -1, g.n + 1):
+    res = centrality_rank_select(g, centrality_rank(g, "in_degree"))
+    for bad in (0, -1):
         with pytest.raises(ValueError):
-            centrality_rank_select(g, rank, bad)
+            res.truncated(bad)
+    assert res.truncated(g.n + 1).picks == res.picks
+
+
+def test_rank_select_rank_from_another_graph():
+    rank = centrality_rank(two_stars(), "in_degree")
+    with pytest.raises(ValueError, match="node set"):
+        centrality_rank_select(two_hubs(), rank)
+
+
+def test_reaching_cuts_at_the_first_crossing():
+    g = two_stars()
+    res = centrality_rank_select(g, centrality_rank(g, "in_degree"))
+    assert res.reaching(0.6).picks == ("h1",)
+    assert res.reaching(0.61).picks == ("h1", "h2")
+    assert res.reaching(1.0).cumulative[-1] == 1.0
+    for bad in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match=r"target must be in \(0, 1\]"):
+            res.reaching(bad)
 
 
 def test_rank_select_cumulative_non_decreasing():
@@ -268,7 +289,7 @@ def test_rank_select_cumulative_non_decreasing():
             g = DirectedGraph.from_edges(g.edges, nodes=[*g.nodes, "iso1", "iso2"])
         for method in ("in_degree", "betweenness", "closeness", "eigenvector"):
             rank = centrality_rank(g, method)
-            res = centrality_rank_select(g, rank, g.n)
+            res = centrality_rank_select(g, rank)
             assert all(a <= b for a, b in zip(res.cumulative, res.cumulative[1:]))
             for i, c in enumerate(res.cumulative):
                 assert c == set_coverage(g, rank.order[: i + 1]).fraction

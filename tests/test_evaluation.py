@@ -36,6 +36,11 @@ def test_default_ks_clamped():
     assert default_ks(2) == (1, 2)
 
 
+def test_default_ks_empty_graph():
+    with pytest.raises(ValueError, match="no nodes"):
+        default_ks(0)
+
+
 # --- coverage table ---
 
 
@@ -143,6 +148,8 @@ def test_spearman_errors():
         spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])  # constant input
     with pytest.raises(TypeError):
         spearman(centrality_rank(star(3), "in_degree"), [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(ValueError, match="different node sets"):
+        spearman(centrality_rank(star(3), "in_degree"), centrality_rank(star(4), "in_degree"))
 
 
 def test_spearman_symmetric_and_bounded():
@@ -292,9 +299,7 @@ def test_pareto_minimality_direct_scan():
             else:
                 from netcover import centrality_rank_select
 
-                curve = centrality_rank_select(
-                    g, centrality_rank(g, method), g.n
-                ).cumulative
+                curve = centrality_rank_select(g, centrality_rank(g, method)).cumulative
             scan = next(i + 1 for i, c in enumerate(curve) if c >= 0.8)
             assert p.k == scan
 
@@ -303,6 +308,12 @@ def test_pareto_bad_method():
     # the message names every method pareto_point accepts, greedy included
     with pytest.raises(ValueError, match=re.escape(str(METHODS))):
         pareto_point(star(4), "pagerank", 0.8)
+
+
+def test_centrality_scores_bad_method():
+    # the message names the four baselines; greedy has no scores
+    with pytest.raises(ValueError, match=re.escape(str(METHODS[:-1]))):
+        centrality_scores(star(4), "pagerank")
 
 
 # --- eigenvector on the edgeless table ---

@@ -205,6 +205,7 @@ def test_from_edges_refuses_an_empty_graph(edges):
         '{"edges": [["a", "b", "c"]]}',
         '{"edges": [[1, 2]]}',
         '{"nodes": [""], "edges": [["a", "b"]]}',
+        '{"nodes": "ab", "edges": [["a", "b"]]}',
     ],
 )
 def test_parse_json_malformed(text):

@@ -31,7 +31,7 @@ def _inputs():
         "render_pareto": pareto_point(g, "greedy", 0.8),
         # a rank prefix: no target, and coverage that repeats between picks
         "render_selection/in_degree": centrality_rank_select(
-            g, centrality_rank(g, "in_degree"), g.n
+            g, centrality_rank(g, "in_degree")
         ),
     }
 
@@ -78,3 +78,9 @@ def test_render_outputs_are_pinned(case, fmt):
     value = _inputs()[case]
     out = getattr(render, case.split("/")[0])(value, fmt)
     assert hashlib.sha256(out.encode()).hexdigest() == _RECORDED[case][fmt]
+
+
+@pytest.mark.parametrize("case", sorted(_RECORDED))
+def test_render_unknown_format(case):
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        getattr(render, case.split("/")[0])(_inputs()[case], "xml")
