@@ -1,6 +1,6 @@
 """
-Six centrality measures and their deterministic ranks
-=====================================================
+Four centrality baselines and their deterministic ranks
+=======================================================
 
 """
 
@@ -17,14 +17,11 @@ from netcover import (
 g = gen_preferential(12, 2, seed=5)
 print("edges:", g.edges)
 
-# degree comes in three flavours
-for mode in ("in", "out", "total"):
-    scores = degree_centrality(g, mode)
-    print(f"{scores.measure}:", to_rank(scores).order[:5], "...")
-
-# scores are a read-only array by node position (g.nodes is sorted); the
-# label dict and the rank's labels are built from it
-ind = degree_centrality(g, "in")
+# in-degree counts the members naming each node; scores are a read-only
+# array by node position (g.nodes is sorted), and the label dict and the
+# rank's labels are built from it
+ind = degree_centrality(g)
+print("in_degree top:", to_rank(ind).order[:5])
 print("in-degree values:", ind.values[:4], "scores:", list(ind.scores.items())[:2])
 
 # betweenness counts interior positions on shortest directed paths

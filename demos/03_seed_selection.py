@@ -19,7 +19,8 @@ g = DirectedGraph.from_edges(
     [("a", "h1"), ("b", "h1"), ("b", "h2"), ("c", "h2")], nodes=["z"]
 )
 print("coverage of h1:", sorted(node_coverage(g, "h1")))
-print("coverage of {h1,h2}:", set_coverage(g, {"h1", "h2"}))
+cov = set_coverage(g, {"h1", "h2"})
+print("coverage of {h1,h2}:", sorted(cov.covered), cov.fraction)
 
 # greedy picks the best marginal contributor each round; a heap of stale
 # gains (upper bounds, since gains only shrink) spares most re-evaluations,

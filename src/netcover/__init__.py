@@ -6,7 +6,8 @@ reaches the largest share of everyone else?  It provides
 
 * an immutable :class:`DirectedGraph` with CSV/JSON ingestion,
 * the lazy greedy maximum-coverage selector and centrality-rank baselines,
-* six centrality measures, four of them baselines, with deterministic ranking,
+* four centrality baselines (in-degree, betweenness, closeness, eigenvector)
+  with deterministic ranking,
 * an evaluation protocol (coverage-vs-k tables, Spearman rank association,
   the minimal selection reaching an 80% coverage threshold),
 * seeded synthetic graph generators for reproducible experiments.
@@ -16,7 +17,6 @@ are meant for tests only.  The ``netcover`` command exposes everything else.
 """
 
 from .centrality import (
-    MEASURES,
     CentralityScores,
     Rank,
     betweenness_centrality,
@@ -64,7 +64,6 @@ from .graph import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "MEASURES",
     "METHODS",
     "CentralityScores",
     "CoverageSet",

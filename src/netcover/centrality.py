@@ -1,11 +1,12 @@
 """Baseline centrality measures over directed graphs.
 
-All six measures return a read-only array of scores by node position, and
+The four baseline measures (in-degree, betweenness, closeness, eigenvector)
+each return a read-only array of scores by node position, and
 :func:`to_rank` orders it (score descending, label ascending, so equal scores
 never leave an ambiguous order); labels are looked up only on demand.
 Conventions for directed graphs:
 
-* degree splits into in / out / total variants;
+* degree counts incoming edges: the members who name a node;
 * betweenness counts shortest directed paths with the node strictly interior,
   unnormalized (Brandes accumulation);
 * closeness uses outgoing distances with a reach-scaled correction
@@ -56,16 +57,6 @@ from typing import NoReturn
 import numpy as np
 
 from .graph import DirectedGraph
-
-MEASURES = (
-    "in_degree",
-    "out_degree",
-    "total_degree",
-    "betweenness",
-    "closeness",
-    "eigenvector",
-)
-
 
 @dataclass(frozen=True, eq=False)
 class CentralityScores:
@@ -120,17 +111,9 @@ def to_rank(scores: CentralityScores) -> Rank:
     return Rank(scores.measure, order, scores.nodes, perm, scores.warning)
 
 
-def degree_centrality(g: DirectedGraph, mode: str = "in") -> CentralityScores:
-    """Degree scores; ``mode`` is ``in``, ``out``, or ``total``."""
-    if mode == "in":
-        degree = np.diff(g.in_csr[0])
-    elif mode == "out":
-        degree = np.diff(g.csr[0])
-    elif mode == "total":
-        degree = np.diff(g.in_csr[0]) + np.diff(g.csr[0])
-    else:
-        raise ValueError(f"unknown degree mode {mode!r}; expected in, out, or total")
-    return CentralityScores(f"{mode}_degree", g.nodes, degree.astype(float))
+def degree_centrality(g: DirectedGraph) -> CentralityScores:
+    """In-degree scores: how many members name each node."""
+    return CentralityScores("in_degree", g.nodes, np.diff(g.in_csr[0]).astype(float))
 
 
 #: A block of sources holds at most this many (source, node) keys, and its

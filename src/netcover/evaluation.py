@@ -46,7 +46,7 @@ def centrality_scores(g: DirectedGraph, method: str) -> CentralityScores:
     method raises ``ValueError``.
     """
     if method == "in_degree":
-        return _centrality.degree_centrality(g, "in")
+        return _centrality.degree_centrality(g)
     if method == "betweenness":
         return _centrality.betweenness_centrality(g)
     if method == "closeness":
@@ -72,11 +72,11 @@ def _baselines(g: DirectedGraph) -> tuple[dict[str, CentralityScores], tuple[str
 class CoverageTable:
     """Coverage fraction per (k, method); columns are non-decreasing in k.
 
-    ``warnings`` holds the baselines' score warnings, in method order.
+    ``columns`` is keyed in ``METHODS`` order.  ``warnings`` holds the
+    baselines' score warnings, in method order.
     """
 
     ks: tuple[int, ...]
-    methods: tuple[str, ...]
     columns: dict[str, tuple[float, ...]]
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
@@ -86,14 +86,13 @@ class CoverageTable:
 
 @dataclass(frozen=True)
 class RankCorrelationMatrix:
-    """Spearman rho between the reference (greedy) rank and each baseline.
+    """Spearman rho between the greedy pick order and each baseline's rank.
 
     An entry is ``None`` when rho is undefined, i.e. a baseline scores every
     node identically so its tie-averaged ranks have zero variance.
     ``warnings`` holds the baselines' score warnings, in method order.
     """
 
-    reference: str
     entries: dict[str, float | None]
     warnings: tuple[str, ...] = field(default=(), compare=False)
 
@@ -132,7 +131,7 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
     curves = {m: centrality_rank_select(g, to_rank(s)) for m, s in scores.items()}
     curves["greedy"] = greedy_select(g, target_coverage=1.0)
     columns = {m: tuple(c.truncated(k).cumulative[-1] for k in ks) for m, c in curves.items()}
-    return CoverageTable(ks=ks, methods=METHODS, columns=columns, warnings=warnings)
+    return CoverageTable(ks=ks, columns=columns, warnings=warnings)
 
 
 # ---- Spearman rank correlation ----------------------------------------------
@@ -158,28 +157,18 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     return max(-1.0, min(1.0, r))
 
 
-def spearman(a: Rank | Sequence[float], b: Rank | Sequence[float]) -> float:
-    """Spearman rank-order correlation between two rankings or score lists.
+def spearman(a: Sequence[float], b: Sequence[float]) -> float:
+    """Spearman rank-order correlation between two equal-length score lists.
 
-    Both arguments must be of the same kind: two :class:`Rank` objects over
-    the same node set, or two equal-length score sequences.  Scores are
-    converted to fractional (tie-averaged) ranks and rho is the Pearson
-    correlation of the two rank vectors; for tie-free inputs this equals the
-    classic 1 - 6 * sum(d^2) / (n * (n^2 - 1)).
+    Scores are converted to fractional (tie-averaged) ranks and rho is the
+    Pearson correlation of the two rank vectors; for tie-free inputs this
+    equals the classic 1 - 6 * sum(d^2) / (n * (n^2 - 1)).
     """
-    if isinstance(a, Rank) != isinstance(b, Rank):
-        raise TypeError("cannot mix a Rank with a raw score list")
-    if isinstance(a, Rank) and isinstance(b, Rank):
-        if a.nodes != b.nodes:
-            raise ValueError("ranks are over different node sets")
-        xs, ys = np.argsort(a.perm), np.argsort(b.perm)  # each node's place in the rank
-    else:
-        xs, ys = a, b  # type: ignore[assignment]
-        if len(xs) != len(ys):
-            raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
+    if len(a) != len(b):
+        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
+    if len(a) < 2:
         raise ValueError("need at least two observations")
-    return _pearson(_fractional_ranks(xs), _fractional_ranks(ys))
+    return _pearson(_fractional_ranks(a), _fractional_ranks(b))
 
 
 def greedy_rank_vector(g: DirectedGraph) -> np.ndarray:
@@ -211,7 +200,7 @@ def rank_correlation_report(g: DirectedGraph) -> RankCorrelationMatrix:
             entries[method] = spearman(greedy_vec, -result.values)
         except ValueError:
             entries[method] = None
-    return RankCorrelationMatrix(reference="greedy", entries=entries, warnings=warnings)
+    return RankCorrelationMatrix(entries=entries, warnings=warnings)
 
 
 def pareto_point(

@@ -92,9 +92,8 @@ def definitional_centrality(g: DirectedGraph, measure: str) -> CentralityScores:
         raise ValueError(
             f"instance too large: {g.n} nodes exceeds the {MAX_ORACLE_NODES} bound"
         )
-    ends = {"out_degree": (0,), "in_degree": (1,), "total_degree": (0, 1)}
-    if measure in ends:  # edges (source, target) with v at a counted end
-        scores = {v: float(sum(e[i] == v for e in g.edges for i in ends[measure])) for v in g.nodes}
+    if measure == "in_degree":  # edges (source, target) with v as the target
+        scores = {v: float(sum(t == v for _, t in g.edges)) for v in g.nodes}
     elif measure == "betweenness":
         scores = _definitional_betweenness(g)
     elif measure == "closeness":

@@ -113,15 +113,14 @@ def render_selection(sel: SelectionResult, fmt: str = "markdown") -> str:
 
 
 def render_table(table: CoverageTable, fmt: str = "markdown") -> str:
-    rows = [
-        [k] + [table.columns[m][i] for m in table.methods] for i, k in enumerate(table.ks)
-    ]
+    methods = list(table.columns)
+    rows = [[k] + [table.columns[m][i] for m in methods] for i, k in enumerate(table.ks)]
     doc = {
         "ks": list(table.ks),
-        "methods": list(table.methods),
+        "methods": methods,
         "columns": {m: list(vals) for m, vals in table.columns.items()},
     }
-    return _emit_table(fmt, ["k", *table.methods], rows, doc)
+    return _emit_table(fmt, ["k", *methods], rows, doc)
 
 
 def render_matrix(matrix: RankCorrelationMatrix, fmt: str = "markdown") -> str:
@@ -132,10 +131,10 @@ def render_matrix(matrix: RankCorrelationMatrix, fmt: str = "markdown") -> str:
             "n/a" if matrix.entries[m] is None else f"{matrix.entries[m]:.3f}"
             for m in methods
         ]
-        return _md_table(["reference", *methods], [[matrix.reference, *cells]])
+        return _md_table(["reference", *methods], [["greedy", *cells]])
     if fmt == "csv":  # csv.writer writes None as an empty cell
         return _csv_rows([["method", "spearman_rho"], *matrix.entries.items()])
-    return _json_doc({"reference": matrix.reference, "entries": matrix.entries})
+    return _json_doc({"reference": "greedy", "entries": matrix.entries})
 
 
 def render_pareto(point: ParetoPoint, fmt: str = "markdown") -> str:

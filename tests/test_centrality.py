@@ -9,7 +9,7 @@ import pytest
 
 import netcover.centrality as centrality_mod
 from netcover import (
-    MEASURES,
+    METHODS,
     DirectedGraph,
     betweenness_centrality,
     closeness_centrality,
@@ -47,26 +47,19 @@ def bistar(leaves: int) -> DirectedGraph:
 
 def test_degree_star():
     g = star(4)
-    ind = degree_centrality(g, "in").scores
+    ind = degree_centrality(g).scores
     assert ind["hub"] == 4
     assert ind["l1"] == 0
 
 
 def test_degree_cycle():
     g = cycle("abcd")
-    for mode, want in (("in", 1), ("out", 1), ("total", 2)):
-        assert set(degree_centrality(g, mode).scores.values()) == {want}
+    assert set(degree_centrality(g).scores.values()) == {1}
 
 
 def test_degree_fan():
     g = graph_of(("a", "b"), ("c", "b"), ("b", "d"))
-    assert degree_centrality(g, "out").scores["b"] == 1
-    assert degree_centrality(g, "in").scores["b"] == 2
-
-
-def test_degree_bad_mode():
-    with pytest.raises(ValueError):
-        degree_centrality(graph_of(("a", "b")), "sideways")
+    assert degree_centrality(g).scores["b"] == 2
 
 
 # --- rank ---
@@ -257,9 +250,7 @@ def _relabelled(g: DirectedGraph, suffix: str) -> DirectedGraph:
 def test_permutation_equivariance():
     rng = np.random.default_rng(3)
     fns = [
-        lambda g: degree_centrality(g, "in"),
-        lambda g: degree_centrality(g, "out"),
-        lambda g: degree_centrality(g, "total"),
+        degree_centrality,
         betweenness_centrality,
         closeness_centrality,
     ]
@@ -277,16 +268,14 @@ def test_scores_cover_nodes_and_are_finite():
     for _ in range(20):
         g = random_digraph(rng, max_n=15)
         measures = [
-            degree_centrality(g, "in"),
-            degree_centrality(g, "out"),
-            degree_centrality(g, "total"),
+            degree_centrality(g),
             betweenness_centrality(g),
             closeness_centrality(g),
             eigenvector_centrality(g),
         ]
         for cs in measures:
             assert set(cs.scores) == set(g.nodes)
-            assert cs.measure in MEASURES
+            assert cs.measure in METHODS[:-1]
             for x in cs.scores.values():
                 assert math.isfinite(x) and x >= 0.0
             assert to_rank(cs).order == tuple(

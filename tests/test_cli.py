@@ -1,3 +1,4 @@
+import ast
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import netcover
 from netcover import DirectedGraph, gen_preferential, graph, to_csv
 from netcover.cli import main
 
@@ -547,6 +549,20 @@ def test_module_entry_point(two_node):
     assert proc.stdout.startswith("n=2")
 
 
+def test_package_exports_match_its_imports():
+    # __all__ names nothing missing, and every public name __init__ imports
+    tree = ast.parse(Path(netcover.__file__).read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(set(netcover.__all__)) == len(netcover.__all__)
+    assert all(hasattr(netcover, name) for name in netcover.__all__)
+    assert {name for name in imported if not name.startswith("_")} <= set(netcover.__all__)
+
+
 # --- goldens ---
 
 GOLDEN_COMMANDS = {
@@ -587,6 +603,11 @@ GOLDEN_COMMANDS = {
         "select", str(GOLDEN / "gen_er.csv"), "--method", "greedy",
         "--k", "3", "--format", "json",
     ],
+    # the JSON "methods" key and the markdown "reference" cell
+    "evaluate.json": [
+        "evaluate", str(GOLDEN / "gen_pa.json"), "--format", "json",
+    ],
+    "correlate.md": ["correlate", str(GOLDEN / "gen_pa.json")],
 }
 
 

@@ -1,4 +1,4 @@
-"""Every demo script runs to completion and prints something."""
+"""Every demo runs to completion and prints the same under any hash seed."""
 
 import os
 import subprocess
@@ -15,12 +15,17 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 def test_demo_runs(path):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     pythonpath = os.pathsep.join(p for p in paths if p)
-    proc = subprocess.run(
-        [sys.executable, str(path)],
-        env={**os.environ, "PYTHONPATH": pythonpath},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip()
+    procs = [
+        subprocess.run(
+            [sys.executable, str(path)],
+            env={**os.environ, "PYTHONPATH": pythonpath, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for seed in ("1", "2")
+    ]
+    for proc in procs:
+        assert proc.returncode == 0, proc.stderr
+    assert procs[0].stdout.strip()
+    assert procs[0].stdout == procs[1].stdout  # no set or dict order leaks out
