@@ -23,7 +23,7 @@ from .evaluation import (
     rank_correlation_report,
 )
 from .generators import gen_erdos_renyi, gen_preferential
-from .graph import DirectedGraph, ParseError, graph_stats, parse_edge_list, to_csv, to_json
+from .graph import DirectedGraph, graph_stats, parse_edge_list, to_csv, to_json
 
 _MODEL_ALIASES = {
     "er": "erdos_renyi",
@@ -211,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _emit(args.handler(args), getattr(args, "out", None))
-    except (ParseError, ValueError, LookupError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - invariant violations map to exit 3

@@ -527,11 +527,13 @@ def test_utf8_byte_order_mark_is_dropped(ext, text, argv, tmp_path, capsys):
     assert run([argv[0], str(bom), *argv[1:]], capsys) == (0, want, "")
 
 
-def test_internal_error_exit_3(monkeypatch, two_node, capsys):
+@pytest.mark.parametrize("error", [RuntimeError, KeyError, IndexError])
+def test_internal_error_exit_3(error, monkeypatch, two_node, capsys):
+    # exit 2 is for input errors only: a program's own lookup slip is exit 3
     import netcover.cli as cli_mod
 
     def boom(_):
-        raise RuntimeError("invariant violated")
+        raise error("invariant violated")
 
     monkeypatch.setattr(cli_mod, "graph_stats", boom)
     code, _, err = run(["stats", two_node], capsys)
