@@ -56,7 +56,7 @@ from typing import BinaryIO, NoReturn
 
 import numpy as np
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _edge_positions
 
 @dataclass(frozen=True, eq=False)
 class CentralityScores:
@@ -508,24 +508,24 @@ def eigenvector_centrality(g: DirectedGraph) -> CentralityScores:
     returned with ``warning`` naming the iteration count and the residual.
 
     On acyclic graphs the true iteration collapses to the zero vector (the
-    adjacency matrix is nilpotent), so the result falls back to scores
-    proportional to in-degree with ``warning`` set.  Scaling by a positive
-    norm keeps every rank and every tie, so the fallback's tie-averaged
-    Spearman against any order is identical to in-degree's: on
-    preferential-attachment graphs, which are acyclic, the eigenvector
-    baseline coincides with in_degree.  An edgeless graph is the zero case
-    of that fallback: every in-degree is 0, so every score is 0.0 (rank
-    falls back to label order) and ``warning`` says the eigenvector is
+    adjacency matrix is nilpotent), so the result falls back to
+    :func:`degree_centrality`'s scores, L2-normalized, with ``warning`` set.
+    Scaling by a positive norm keeps every rank and every tie, so the
+    fallback's tie-averaged Spearman against any order is identical to
+    in-degree's: on preferential-attachment graphs, which are acyclic, the
+    eigenvector baseline coincides with in_degree.  An edgeless graph is the
+    zero case of that fallback: every in-degree is 0, so every score is 0.0
+    (rank falls back to label order) and ``warning`` says the eigenvector is
     undefined.  Nothing is raised.
     """
     n = g.n
 
     if _is_acyclic(g):
-        vec = np.diff(g.in_csr[0]).astype(float)
+        vec = degree_centrality(g).values
         if g.m == 0:
             warning = "edgeless graph: eigenvector undefined, scores zeroed"
         else:
-            vec /= np.linalg.norm(vec)
+            vec = vec / np.linalg.norm(vec)
             warning = (
                 "acyclic graph: power iteration collapses to zero; "
                 "scores proportional to in-degree"
@@ -533,8 +533,7 @@ def eigenvector_centrality(g: DirectedGraph) -> CentralityScores:
         return CentralityScores("eigenvector", g.nodes, vec, warning)
 
     # Edge index arrays: (A^T x)[t] sums x[s] over the edges s -> t.
-    indptr, dst = g.csr
-    src = np.repeat(np.arange(n), np.diff(indptr))
+    src, dst = _edge_positions(g.csr)
 
     x = np.full(n, 1.0 / np.sqrt(n))
     residual = float("inf")

@@ -25,13 +25,6 @@ from .evaluation import (
 from .generators import gen_erdos_renyi, gen_preferential
 from .graph import DirectedGraph, graph_stats, parse_edge_list, to_csv, to_json
 
-_MODEL_ALIASES = {
-    "er": "erdos_renyi",
-    "erdos_renyi": "erdos_renyi",
-    "pa": "preferential_attachment",
-    "preferential_attachment": "preferential_attachment",
-}
-
 
 def _warn(*messages: str | None) -> None:
     """One ``warning:`` line on stderr per message that is not ``None``."""
@@ -123,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_correlate)
 
     p = subs.add_parser("gen", help="generate a seeded synthetic graph")
-    p.add_argument("--model", required=True, choices=sorted(_MODEL_ALIASES))
+    p.add_argument("--model", required=True, choices=("er", "pa"))
     p.add_argument("--n", required=True, type=int, help="node count")
     p.add_argument("--p", type=float, help="edge probability (erdos_renyi)")
     p.add_argument(
@@ -189,8 +182,7 @@ def _cmd_correlate(args: argparse.Namespace) -> str:
 
 
 def _cmd_gen(args: argparse.Namespace) -> Output:
-    model = _MODEL_ALIASES[args.model]
-    if model == "erdos_renyi":
+    if args.model == "er":
         if args.p is None:
             raise ValueError("--p is required for the erdos_renyi model")
         if args.epn is not None:

@@ -25,8 +25,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .centrality import Rank
-from .graph import DirectedGraph
+from .centrality import Rank, degree_centrality, to_rank
+from .graph import DirectedGraph, _edge_positions
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,8 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
     """Select nodes greedily by marginal coverage until the target is met.
 
     A heap holds ``(-gain bound, scan position, node, round evaluated)`` per
-    unpicked node, seeded with ``in_degree + 1`` in scan order (in-degree
+    unpicked node, seeded with ``in_degree + 1`` in scan order: the in-degree
+    baseline's rank (:func:`to_rank` of :func:`degree_centrality`, in-degree
     descending, label ascending).  Each round re-evaluates the top entry until
     the top was evaluated this round; every other entry's bound, and so its
     true gain, is then smaller, or equal and later in scan order, so the top
@@ -104,16 +105,14 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
     """
     _check_fraction("target_coverage", target_coverage)
 
-    # scan order, in-degree descending then label (``nodes`` is sorted, so a
-    # stable sort keeps ties in label order); sorted, so already a heap
-    neg_bounds = -1 - np.diff(g.in_csr[0])  # -(in_degree + 1)
-    order = np.argsort(neg_bounds, kind="stable")
+    # sorted by bound, then scan position, so already a heap
+    rank = to_rank(degree_centrality(g))
     n = g.n
     heap = list(
         zip(
-            neg_bounds[order].tolist(),
+            (-1 - np.diff(g.in_csr[0])[rank.perm]).tolist(),  # -(in_degree + 1)
             range(n),
-            map(g.nodes.__getitem__, order.tolist()),
+            rank.order,
             [-1] * n,
         )
     )
@@ -152,9 +151,9 @@ def centrality_rank_select(g: DirectedGraph, rank: Rank) -> SelectionResult:
     if rank.nodes != g.nodes:
         raise ValueError("rank does not cover the graph's node set")
     at = np.argsort(rank.perm)  # each node's place in the rank
-    indptr, indices = g.csr
+    tails, heads = _edge_positions(g.csr)
     first = at.copy()
-    np.minimum.at(first, np.repeat(np.arange(g.n), np.diff(indptr)), at[indices])
+    np.minimum.at(first, tails, at[heads])
     cumulative = np.cumsum(np.bincount(first, minlength=g.n)) / g.n
     return SelectionResult(
         method=rank.measure,

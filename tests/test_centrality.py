@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import math
 import os
@@ -569,6 +570,27 @@ def test_forked_sweep_parent_failure_reaps_workers(forking, monkeypatch):
     with pytest.raises(ValueError, match="chunk fails"):
         path_centralities(gen_erdos_renyi(60, 0.1, 5))
     assert len(forks) == 2
+
+
+def test_failed_fork_leaves_no_pipe_or_child(forking, monkeypatch):
+    # the second fork fails: its pipe is closed, the first worker reaped
+    workers, forks = forking
+    workers(3)
+    monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", 2**8)
+    fork = os.fork
+
+    def second_fails():
+        if forks:
+            raise OSError(errno.EAGAIN, "fork refused")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError) as failed:
+        path_centralities(gen_erdos_renyi(60, 0.1, 5))
+    assert failed.value.errno == errno.EAGAIN
+    assert len(forks) == 1
+    assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_sweep_never_forks_beside_a_thread(forking, monkeypatch):

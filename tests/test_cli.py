@@ -457,6 +457,15 @@ def test_gen_parameter_of_the_other_model(model, name, capsys):
     assert run(argv, capsys) == (2, "", err)
 
 
+@pytest.mark.parametrize(
+    "model", [["erdos_renyi", "--p", "0.1"], ["preferential_attachment", "--epn", "2"]]
+)
+def test_gen_model_is_er_or_pa(model, capsys):
+    code, out, err = run(["gen", "--model", *model, "--n", "10", "--seed", "1"], capsys)
+    assert (code, out) == (2, "")
+    assert f"argument --model: invalid choice: '{model[0]}'" in err
+
+
 def test_gen_out_file(tmp_path, capsys):
     dest = tmp_path / "g.json"
     code, out, _ = run(
