@@ -166,17 +166,17 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
     Runs Brandes' algorithm over ``g.csr`` for a block of B sources at once,
     node v of source b keyed ``b * n + v``.  The forward BFS is
     level-synchronous and keeps each source's FIFO discovery order; it
-    records the shortest-path DAG edges of each level.  The backward pass
-    feeds each node's dependency contributions to ``np.bincount`` in the
-    reversed discovery order of its children.  Path counts sigma are float64,
-    exact below 2**53.
+    records the shortest-path DAG edges of each level, and ``first[key]``
+    holds the key's rank within its level from the moment the level is
+    found.  The backward pass feeds each node's dependency contributions to
+    ``np.bincount`` in the reversed discovery order of its children.  Path
+    counts sigma are float64, exact below 2**53.
 
     Each level runs top-down or bottom-up (Beamer et al., SC 2012), by the
     rule in the module docstring.  Bottom-up expands the unvisited keys'
-    in-edges and keeps those from the frontier.  Either way the level's DAG
-    edges are the edges frontier -> unvisited; bottom-up sorts them into
-    top-down order (frontier order, then head ascending), so the arrays that
-    follow, and the scores, are the same bit for bit.
+    in-edges, head ascending, and sorts those from the frontier stably by
+    their tail's rank alone into top-down order (frontier order, then head
+    ascending), so both give the same DAG edges and the same bits.
 
     Yields ``(sources, reached, closeness, rows, visits, block)`` per block:
     the closeness of the ``reached`` sources (those reaching any node), the
@@ -201,7 +201,8 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
         unseen = sources.size * g.m - int(in_degree[sources].sum())
         dist = np.full(size, -1, dtype=np.intp)
         dist[frontier] = 0
-        first = np.empty(size, dtype=np.intp)  # scratch: first edge, then rank
+        first = np.empty(size, dtype=np.intp)  # first edge while found, then rank
+        first[frontier] = np.arange(sources.size)
         sigma = np.zeros(size)
         sigma[frontier] = 1.0
         levels = [frontier]
@@ -229,8 +230,7 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
                 tail = tail[kept]
                 head = np.repeat(keys, in_deg)[kept]
                 # Top-down order: frontier order, then head ascending.
-                first[frontier] = np.arange(frontier.size)
-                order = np.argsort(first[tail] * n + head % n)
+                order = np.argsort(first[tail], kind="stable")
                 tail, head = tail[order], head[order]
             else:
                 # Every out-edge of the frontier, frontier order, neighbors ascending.
@@ -248,7 +248,8 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
             np.minimum.at(first, head, at)
             nxt = head[np.flatnonzero(first[head] == at)]
             dist[nxt] = depth
-            found = np.bincount(nxt // n, minlength=sources.size)
+            row, v = np.divmod(nxt, n)
+            found = np.bincount(row, minlength=sources.size)
             reached += found
             total += depth * found
             first[nxt] = np.arange(nxt.size)
@@ -257,7 +258,6 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
             dag.append((tail, rank))
             levels.append(nxt)
             frontier = nxt
-            v = nxt % n
             unseen -= int(in_degree[v].sum())
 
         block = max(1, min(_BLOCK_BUDGET // n, _BLOCK_BUDGET * sources.size // peak))
@@ -270,7 +270,6 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
             coeff = (1.0 + delta[children]) / sigma[children]
             tail, rank = dag[depth]
             parents = levels[depth - 1]
-            first[parents] = np.arange(parents.size)
             parent = first[tail]
             # Each parent's children in reversed discovery order.  The edges
             # come grouped by parent, in frontier order, so the stable sort

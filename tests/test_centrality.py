@@ -613,3 +613,18 @@ def test_sweep_never_forks_beside_a_thread(forking, monkeypatch):
     finally:
         stop.set()
         thread.join()
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_sweep_stays_serial_without_platform_support(missing, forking, monkeypatch):
+    """Windows has no ``os.fork`` and macOS no ``os.sched_getaffinity``: the
+    settings that fork on Linux sweep in one process there, with the same bits."""
+    workers, forks = forking
+    workers(2)
+    monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", 2**12)
+    monkeypatch.delattr(os, missing)
+    for name in sorted(_RECORDED):
+        g = _BUILD[name]()
+        betweenness, closeness = path_centralities(g)
+        assert (_sha256(g, betweenness), _sha256(g, closeness)) == _RECORDED[name]
+    assert forks == []
