@@ -116,13 +116,13 @@ def degree_centrality(g: DirectedGraph) -> CentralityScores:
     return CentralityScores("in_degree", g.nodes, np.diff(g.in_csr[0]).astype(float))
 
 
-#: A block of sources holds at most this many (source, node) keys, and its
-#: busiest BFS level expands about this many edges.  The first block assumes
-#: one level may hold every edge (budget // max(m, n) sources); each later
-#: block scales by the busiest level of the block before, so graphs whose
-#: BFS trees stay small batch many more sources.  A chunk, the unit of work
-#: one process sweeps and hands over, holds budget // n sources, so its
-#: dependency rows are at most this many floats.
+#: A chunk, the unit of work one process sweeps and hands over, holds
+#: budget // n sources, so its dependency rows are at most this many floats.
+#: A block never crosses a chunk, so it holds at most this many (source, node)
+#: keys, and its busiest BFS level expands about this many edges.  The first
+#: block assumes one level may hold every edge (budget // max(m, n) sources);
+#: each later block scales by the busiest level of the block before, so graphs
+#: whose BFS trees stay small batch many more sources.
 _BLOCK_BUDGET = 2**16
 
 #: The sweep forks worker processes only when its first chunk, projected to
@@ -260,7 +260,7 @@ def _blocks(g: DirectedGraph, lo: int, hi: int, block: int):
             frontier = nxt
             unseen -= int(in_degree[v].sum())
 
-        block = max(1, min(_BLOCK_BUDGET // n, _BLOCK_BUDGET * sources.size // peak))
+        block = max(1, _BLOCK_BUDGET * sources.size // peak)
         some = np.flatnonzero(reached)
         r = reached[some]
         closeness = (r / (n - 1)) * (r / total[some])
@@ -303,17 +303,17 @@ def _path_sweep(g: DirectedGraph) -> tuple[np.ndarray, np.ndarray]:
     closeness = np.zeros(n)
     chunk = max(1, _BLOCK_BUDGET // n)
     block = max(1, _BLOCK_BUDGET // max(g.m, n))
-    starts = range(0, n, chunk)
+    chunks = [range(start, min(start + chunk, n)) for start in range(0, n, chunk)]
     workers = 1
     visits = 0
     children = []  # (pid, file reading its pipe) of workers 1..W-1
     try:
-        for i, start in enumerate(starts):
-            stop = min(start + chunk, n)
+        for i, sources in enumerate(chunks):
+            start, stop = sources.start, sources.stop
             if i == 1:
-                workers = _workers(visits * n / start, len(starts) - 1)
+                workers = _workers(visits * n / start, len(chunks) - 1)
                 if workers > 1:
-                    _fork(g, starts[1:], chunk, block, workers, children)
+                    _fork(g, chunks[1:], block, workers, children)
                     buf = np.empty(chunk * (n + 1))
             k = (i - 1) % workers if i else 0
             if k == 0:
@@ -361,13 +361,12 @@ def _workers(projected_visits: float, chunks: int) -> int:
 
 def _fork(
     g: DirectedGraph,
-    starts: range,
-    chunk: int,
+    chunks: list[range],
     block: int,
     workers: int,
     children: list[tuple[int, BinaryIO]],
 ) -> None:
-    """Fork workers 1..W-1; worker k sweeps the chunks ``starts[k::workers]``.
+    """Fork workers 1..W-1; worker k sweeps the chunks ``chunks[k::workers]``.
 
     Each child joins ``children`` as ``(pid, file reading its pipe)`` once it
     runs, and closes the read ends of the children forked before it.
@@ -384,15 +383,15 @@ def _fork(
                 raise
             if pid == 0:
                 readers = [r] + [pipe.fileno() for _, pipe in children]
-                _worker(g, starts[k::workers], chunk, block, w, readers)
+                _worker(g, chunks[k::workers], block, w, readers)
             os.close(w)
             children.append((pid, open(r, "rb")))
 
 
 def _worker(
-    g: DirectedGraph, starts: range, chunk: int, block: int, w: int, readers: list[int]
+    g: DirectedGraph, chunks: list[range], block: int, w: int, readers: list[int]
 ) -> NoReturn:
-    """Forked child: sweep the chunks beginning at ``starts``, write each to ``w``.
+    """Forked child: sweep the source ranges ``chunks``, write each to ``w``.
 
     It first closes the pipe ends it inherited for reading, so that a write
     fails instead of blocking once the parent is gone.  A chunk is written
@@ -404,14 +403,13 @@ def _worker(
     try:
         for fd in readers:
             os.close(fd)
-        n = g.n
         with open(w, "wb") as pipe:
-            for start in starts:
-                size = min(chunk, n - start)
-                out = np.zeros(size * (n + 1))
-                dependencies = out[size:].reshape(-1, n)
+            for chunk in chunks:
+                start, size = chunk.start, len(chunk)
+                out = np.zeros(size * (g.n + 1))
+                dependencies = out[size:].reshape(-1, g.n)
                 for sources, reached, values, rows, _, block in _blocks(
-                    g, start, start + size, block
+                    g, start, chunk.stop, block
                 ):
                     out[reached - start] = values
                     dependencies[sources[0] - start : sources[-1] + 1 - start] = rows

@@ -23,7 +23,9 @@ from .evaluation import (
     rank_correlation_report,
 )
 from .generators import gen_erdos_renyi, gen_preferential
-from .graph import DirectedGraph, graph_stats, parse_edge_list, to_csv, to_json
+from .graph import (
+    _FORMATS, DirectedGraph, graph_stats, parse_edge_list, to_csv, to_json
+)
 
 
 def _warn(*messages: str | None) -> None:
@@ -67,7 +69,7 @@ def _add_io_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("graph", help="path to a CSV edge list or JSON graph file")
     sub.add_argument(
         "--input-format",
-        choices=("csv", "json"),
+        choices=_FORMATS,
         default=None,
         help="override input format detection (default: by file extension)",
     )
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", required=True, type=int)
     p.add_argument(
         "--format",
-        choices=("csv", "json"),
+        choices=_FORMATS,
         default="json",
         help="graph file format (default: json; csv drops isolated nodes)",
     )
@@ -210,7 +212,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal error: {e}", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

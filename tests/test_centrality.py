@@ -357,6 +357,30 @@ def test_path_sweep_block_boundaries(monkeypatch):
             assert _scores_by_index(closeness_centrality(fresh())) == want[1:]
 
 
+@pytest.mark.parametrize("budget", [centrality_mod._BLOCK_BUDGET, 2**12])
+@pytest.mark.parametrize("w", [1, 2])
+def test_blocks_stay_within_the_budget(w, budget, forking, monkeypatch):
+    """Every block, in this process and in each worker, holds at most the
+    budget's (source, node) keys, or one source's when n exceeds it.  A worker
+    whose check fails ends before sending its chunk, and the sweep raises."""
+    workers, forks = forking
+    workers(w)
+    monkeypatch.setattr(centrality_mod, "_BLOCK_BUDGET", budget)
+    blocks = centrality_mod._blocks
+
+    def checked(g, lo, hi, block):
+        for swept in blocks(g, lo, hi, block):
+            assert swept[0].size * g.n <= max(budget, g.n), (swept[0].size, g.n)
+            yield swept
+
+    monkeypatch.setattr(centrality_mod, "_blocks", checked)
+    for name in sorted(_RECORDED):
+        g = _BUILD[name]()
+        betweenness, closeness = path_centralities(g)
+        assert (_sha256(g, betweenness), _sha256(g, closeness)) == _RECORDED[name]
+    assert bool(forks) == (w > 1)
+
+
 # --- the direction of each BFS level ---
 
 # _PULL = 0 runs every level that has unvisited in-edges bottom-up, inf runs
