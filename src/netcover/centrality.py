@@ -533,7 +533,6 @@ def eigenvector_centrality(g: DirectedGraph) -> CentralityScores:
     src, dst = _edge_positions(g.csr)
 
     x = np.full(n, 1.0 / np.sqrt(n))
-    residual = float("inf")
     warning = None
     for _ in range(_MAX_ITER):
         y = np.bincount(dst, weights=x[src], minlength=n) + x

@@ -204,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _emit(args.handler(args), getattr(args, "out", None))
+        _emit(args.handler(args), args.out)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -17,7 +17,8 @@ The draw streams are part of the contract:
   The target of a draw ``u`` is the first node whose cumulative weight
   exceeds ``u * total``; it is found by descending a Fenwick tree over the
   integer weights in O(log n) per draw, which picks exactly the node a
-  cumulative-sum search would.
+  cumulative-sum search would, and a draw that rounds ``u * total`` up to
+  ``total`` picks the last node that still has weight.
 """
 
 from __future__ import annotations
@@ -100,6 +101,8 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
         chosen: list[tuple[int, int]] = []
         for u in rng.random(min(edges_per_node, i)).tolist():
             r = u * total
+            if r >= total:  # the rounding edge: pick the last weighted node
+                r = total - 0.5
             # the largest prefix <= r ends at j, so node j is the first whose
             # prefix sum exceeds r
             j = acc = 0
@@ -110,10 +113,6 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
                     j += step
                     acc = s
                 step >>= 1
-            if j >= i:  # guard the r == total rounding edge
-                j = i - 1
-            while weight[j] == 0:
-                j -= 1
             w = weight[j]
             tails.append(i)
             heads.append(j)

@@ -158,6 +158,26 @@ def test_pa_matches_cumsum_reference_on_boundary_draws(monkeypatch):
             assert _dump(gen_preferential(n, epn, seed)) == expected, (n, epn, seed)
 
 
+class _EdgeDraws:
+    """Stand-in for numpy's generator whose every uniform is 1.0: each draw
+    lands on the ``u * total == total`` rounding edge, and each draw after an
+    arrival's first must also skip the node it has just chosen."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self, size=None):
+        return 1.0 if size is None else np.ones(size)
+
+
+def test_pa_draws_at_the_rounding_edge(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", _EdgeDraws)
+    for n in (2, 3, 5, 11, 50):
+        for epn in (1, 2, 3, 10):
+            expected = _dump(cumsum_preferential(n, epn, 1))
+            assert _dump(gen_preferential(n, epn, 1)) == expected, (n, epn)
+
+
 @pytest.mark.parametrize(
     "args, digest",
     [
