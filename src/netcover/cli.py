@@ -150,7 +150,7 @@ def _cmd_select(args: argparse.Namespace) -> str:
     if args.target is not None:
         _check_fraction("target", args.target)
     if args.method == "greedy":
-        sel = greedy_select(g, 1.0 if args.target is None else args.target)
+        sel = greedy_select(g, 1.0 if args.target is None else args.target, args.k)
     else:
         rank = centrality_rank(g, args.method)
         _warn(rank.warning)

@@ -89,8 +89,11 @@ def set_coverage(g: DirectedGraph, selected: Iterable[str]) -> CoverageSet:
     return CoverageSet(covered=frozenset(covered), fraction=fraction)
 
 
-def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionResult:
-    """Select nodes greedily by marginal coverage until the target is met.
+def greedy_select(
+    g: DirectedGraph, target_coverage: float = 0.8, k: int | None = None
+) -> SelectionResult:
+    """Select nodes greedily by marginal coverage until the target is met,
+    or until ``k`` nodes are picked when ``k`` is given, whichever is first.
 
     A heap holds ``(-gain bound, scan position, node, round evaluated)`` per
     unpicked node, seeded with ``in_degree + 1`` in scan order: the in-degree
@@ -101,9 +104,12 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
     is the first candidate in scan order with the largest gain.  While
     coverage is below 1.0 some node is uncovered and contributes at least
     itself, so every round makes progress and the run stops at exactly the
-    first pick reaching the target.
+    first pick reaching the target.  The picks are the same either way: a
+    budget cuts the run, not the order.
     """
     _check_fraction("target_coverage", target_coverage)
+    if k is not None and k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
 
     # sorted by bound, then scan position, so already a heap
     rank = to_rank(degree_centrality(g))
@@ -120,7 +126,8 @@ def greedy_select(g: DirectedGraph, target_coverage: float = 0.8) -> SelectionRe
     picks: list[str] = []
     cumulative: list[float] = []
 
-    while len(covered) / n < target_coverage:
+    budget = n if k is None else k
+    while len(covered) / n < target_coverage and len(picks) < budget:
         _, pos, v, evaluated = heap[0]
         if evaluated == len(picks):
             heapq.heappop(heap)

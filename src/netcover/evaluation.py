@@ -112,9 +112,10 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
 
     ``ks`` must be strictly ascending positive counts bounded by the node
     count.  Each method yields one whole curve: a baseline's rank-prefix
-    curve, and greedy run to full coverage (greedy picks are prefix-stable,
-    so a cut equals rerunning with a smaller budget).  Every column reads its
-    curve cut with :meth:`SelectionResult.truncated` at each k.
+    curve, and greedy run to full coverage or to the largest k, whichever is
+    first (greedy picks are prefix-stable, so a cut equals rerunning with a
+    smaller budget).  Every column reads its curve cut with
+    :meth:`SelectionResult.truncated` at each k.
     """
     ks = tuple(ks)
     if not ks:
@@ -129,7 +130,7 @@ def coverage_table(g: DirectedGraph, ks: Sequence[int]) -> CoverageTable:
 
     scores, warnings = _baselines(g)
     curves = {m: centrality_rank_select(g, to_rank(s)) for m, s in scores.items()}
-    curves["greedy"] = greedy_select(g, target_coverage=1.0)
+    curves["greedy"] = greedy_select(g, target_coverage=1.0, k=ks[-1])
     columns = {m: tuple(c.truncated(k).cumulative[-1] for k in ks) for m, c in curves.items()}
     return CoverageTable(ks=ks, columns=columns, warnings=warnings)
 

@@ -24,7 +24,6 @@ The draw streams are part of the contract:
 from __future__ import annotations
 
 from array import array
-from typing import Iterator
 
 import numpy as np
 
@@ -39,11 +38,6 @@ def _labels(n: int) -> list[str]:
     return [f"{i:0{width}d}" for i in range(n)]
 
 
-def _label_pairs(labels: list[str], tails: array, heads: array) -> Iterator[tuple[str, str]]:
-    """The edges ``tails[e] -> heads[e]`` (node positions) as label pairs, lazily."""
-    return zip(map(labels.__getitem__, tails), map(labels.__getitem__, heads))
-
-
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
@@ -56,14 +50,16 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"erdos_renyi needs p in [0, 1], got {p}")
     rng = _rng(seed)
-    tails, heads = array("q"), array("q")
+    ends = array("q")  # tail, head, tail, ...: node positions
     for i in range(n):
         row = rng.random(n)  # row i of the row-major n x n draw stream
         row[i] = np.inf  # the diagonal draw is discarded
-        targets = np.flatnonzero(row < p).tolist()
-        tails.extend([i] * len(targets))
-        heads.extend(targets)
-    return DirectedGraph.from_edges(_label_pairs(labels, tails, heads), nodes=labels)
+        targets = np.flatnonzero(row < p)
+        pairs = np.empty((len(targets), 2), np.int64)
+        pairs[:, 0] = i
+        pairs[:, 1] = targets
+        ends.frombytes(pairs.tobytes())
+    return DirectedGraph.from_edges(np.frombuffer(ends, np.int64).reshape(-1, 2), labels)
 
 
 def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
@@ -86,7 +82,7 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
     tree = [0] * size  # 1-based Fenwick tree over weight
     weight = [0] * n
     total = 0
-    tails, heads = array("q"), array("q")
+    ends = array("q")  # tail, head, tail, ...: node positions
 
     def add(j: int, delta: int) -> None:
         pos = j + 1
@@ -114,8 +110,8 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
                     acc = s
                 step >>= 1
             w = weight[j]
-            tails.append(i)
-            heads.append(j)
+            ends.append(i)
+            ends.append(j)
             chosen.append((j, w))
             add(j, -w)
             weight[j] = 0
@@ -124,4 +120,4 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
             add(j, w + 1)
             weight[j] = w + 1
             total += w + 1
-    return DirectedGraph.from_edges(_label_pairs(labels, tails, heads), nodes=labels)
+    return DirectedGraph.from_edges(np.frombuffer(ends, np.int64).reshape(-1, 2), labels)

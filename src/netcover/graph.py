@@ -15,17 +15,27 @@ label comparison, so graphs built from the same data behave identically run
 to run.
 
 ``DirectedGraph.from_edges`` is the only constructor; the parsers and the
-generators feed it.  It reads its edge iterable in one streaming pass that
-gives each label a first-seen id, so it never holds a list of label pairs.
-It then sorts the labels once, moves the ids to sorted positions, and decides
-order, duplicates and self-loops on the integer keys ``tail * n + head``.
-Duplicates and self-loops are dropped and counted into an
-:class:`IngestReport` carried on the graph (excluded from equality).  A node
+generators feed it.  It takes label pairs, read in one streaming pass that
+gives each label a first-seen id (so it never holds a list of label pairs),
+or an ``(m, 2)`` integer array of positions into distinct labels, which the
+CSV parser and the generators hand it.  Either way it then sorts the labels
+once, moves the positions to sorted ones, decides order, duplicates and
+self-loops on the sorted integer keys ``tail * n + head``, and lays out the
+in-edges by sorting the keys ``head * n + tail``.  Duplicates and
+self-loops are dropped and counted into an :class:`IngestReport` carried on
+the graph (excluded from equality).  A node
 that appears only as an edge target is still a node; isolated nodes survive
 the JSON format, which carries an explicit node list, but not the CSV edge
 list.  A graph has at least one node: ``from_edges`` refuses input that names
 none with :class:`ParseError`, so no analysis downstream checks for an empty
 graph.
+
+CSV text goes through one whole-text numpy tokenizer when ``csv.reader``
+would provably read it the same way: no quote or NUL, no ``\\r`` outside
+``\\r\\n``, 2 or 3 cells on every line that is not empty, no empty first or
+second cell and no cell over ``csv.field_size_limit()``.  Any other text
+goes whole to ``csv.reader``, whose rows, errors and line numbers are the
+reference.
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
 from typing import Iterable, Iterator, TextIO
@@ -101,44 +110,65 @@ class DirectedGraph:
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[tuple[str, str]],
+        edges: Iterable[tuple[str, str]] | np.ndarray,
         nodes: Iterable[str] = (),
     ) -> "DirectedGraph":
         """Build a graph from raw edges, deduplicating and dropping self-loops.
 
         ``nodes`` adds labels beyond the edge endpoints (isolated nodes).
         Endpoints of dropped self-loops are still retained as nodes.  ``edges``
-        is read once, so it may be any iterable of pairs, a generator
-        included.  Raises :class:`ParseError` ``"empty graph"`` when neither
-        argument names a node.
+        is read once, so it may be any iterable of label pairs, a generator
+        included.  It may instead be an ``(m, 2)`` integer array of positions
+        into ``nodes`` (any signed integer type), whose labels must then be
+        distinct; the CSV parser and
+        the generators hand their edges over this way.  Raises
+        :class:`ParseError` ``"empty graph"`` when neither argument names a
+        node.
         """
-        ids: defaultdict[str, int] = defaultdict()
-        ids.default_factory = ids.__len__  # a new label takes the next id
-        for v in nodes:
-            ids[v]  # gives v an id
-        flat = array("q")  # tail id, head id, tail id, ...
-        append = flat.append
-        for s, t in edges:
-            append(ids[s])
-            append(ids[t])
-        for label in ids:
+        if isinstance(edges, np.ndarray):
+            labels = list(nodes)
+            if edges.ndim != 2 or edges.shape[1] != 2 or edges.dtype.kind != "i":
+                raise ValueError(
+                    f"edge positions must be an (m, 2) signed integer array, got "
+                    f"{edges.dtype} {edges.shape}"
+                )
+            if len(edges) and (edges.min() < 0 or edges.max() >= len(labels)):
+                raise ValueError(f"edge positions must lie in [0, {len(labels)})")
+            ends = edges
+        else:
+            ids: defaultdict[str, int] = defaultdict()
+            ids.default_factory = ids.__len__  # a new label takes the next id
+            for v in nodes:
+                ids[v]  # gives v an id
+            flat = array("q")  # tail id, head id, tail id, ...
+            append = flat.append
+            for s, t in edges:
+                append(ids[s])
+                append(ids[t])
+            labels = list(ids)
+            ends = np.frombuffer(flat, np.int64).reshape(-1, 2)
+            del flat, append  # ends holds the ids now
+        for label in labels:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"node labels must be non-empty strings, got {label!r}")
-        if not ids:
+        if not labels:
             raise ParseError("empty graph")
-        labels = sorted(ids)
-        index = {v: i for i, v in enumerate(labels)}
+        # from here on both forms are positions ``ends`` into ``labels``
         n = len(labels)
-        # int64 positions, so the keys tail * n + head cannot overflow on a
-        # 32-bit build; each whole-edge array is dropped once it is used
-        position = np.fromiter(map(index.__getitem__, ids), np.int64, n)
-        ends = np.frombuffer(flat, np.int64)
-        keys, heads = position[ends[0::2]], position[ends[1::2]]
-        del ends, flat, append  # append holds flat
-        keep = keys != heads
-        keys *= n
+        nodes = sorted(labels)
+        index = dict(zip(nodes, range(n)))
+        if len(index) != n:
+            raise ValueError("node labels given with edge positions must be distinct")
+        tails, heads = ends[:, 0], ends[:, 1]
+        if nodes != labels:  # move the positions to sorted ones
+            position = np.fromiter(map(index.__getitem__, labels), np.int64, n)
+            tails, heads = position[tails], position[heads]
+        # int64 keys tail * n + head, so they cannot overflow on a 32-bit
+        # build; each whole-edge array is dropped once it is used
+        keep = tails != heads
+        keys = np.multiply(tails, n, dtype=np.int64)
         keys += heads
-        del heads
+        del tails, heads
         raw = len(keys)
         keys = keys[keep]
         del keep
@@ -150,14 +180,18 @@ class DirectedGraph:
         keys = keys[first]
         del first
         ingest = IngestReport(duplicates=kept - len(keys), self_loops=raw - kept)
-        # the keys are sorted, so the edges are in csr order: rows ascending
+        # the keys are sorted, so the edges are in csr order: rows ascending;
+        # the in-edges come in that order from the sorted keys head * n + tail
         tails = (keys // n).astype(np.intp, copy=False)
         heads = np.remainder(keys, n, out=keys).astype(np.intp, copy=False)
-        in_csr = _csr(heads, tails[np.argsort(heads, kind="stable")], n)
+        back = np.multiply(heads, n, dtype=np.int64)
+        back += tails
+        back.sort()
+        in_csr = _csr(heads, np.remainder(back, n, out=back).astype(np.intp, copy=False), n)
         csr = _csr(tails, heads, n)
         g = cls.__new__(cls)
         setattr_ = object.__setattr__  # the dataclass is frozen
-        setattr_(g, "nodes", tuple(labels))
+        setattr_(g, "nodes", tuple(nodes))
         setattr_(g, "ingest", ingest)
         setattr_(g, "index", index)
         setattr_(g, "csr", csr)
@@ -276,79 +310,198 @@ def parse_edge_list(text: str, fmt: str = "csv") -> DirectedGraph:
     """
     text = text.removeprefix("\ufeff")
     if fmt == "csv":
-        return DirectedGraph.from_edges(_csv_pairs(text))
+        plain = _plain_csv(text)
+        edges, nodes = (_csv_reader_pairs(text), ()) if plain is None else plain
+        return DirectedGraph.from_edges(edges, nodes)
     if fmt == "json":
         return _parse_json(text)
     raise ValueError(f"unknown format {fmt!r}; expected one of {_FORMATS}")
 
 
 #: Characters per tokenizer slice: whole lines, cut at the first ``\n`` past
-#: this many.  Small, so the split lists stay small next to the text.
-_CSV_SLICE = 2**14
+#: this many.  Each slice is encoded and scanned on its own, so its bytes and
+#: per-line index arrays stay small next to the text.
+_CSV_SLICE = 2**16
+
+#: ``_WORD_MASK[k]`` keeps the first ``k`` of a big-endian word's 8 bytes.
+_WORD_MASK = np.array([(2**64 - 1) ^ (2 ** (64 - 8 * k) - 1) for k in range(9)], np.uint64)
 
 
-def _csv_pairs(text: str) -> Iterator[tuple[str, str]]:
-    """The ``(source, target)`` cells of each data row, checked as it is read.
+def _plain_csv(text: str) -> tuple[np.ndarray, list[str]] | None:
+    """``(ends, labels)``: each data row's two cells as positions into ``labels``; or None.
 
-    The text is read in slices of whole lines.  A slice that ``csv.reader``
-    provably reads as rows of plain cells (see :func:`_plain_cells`) is split
-    with ``str.split``; from the first slice that is not, ``csv.reader`` reads
-    the rest, so every error, line number and row rule comes from it.
+    None unless ``csv.reader`` provably reads ``text`` as the same rows: no
+    quote or NUL, every ``\\r`` ends a ``\\r\\n``, and the lines pass
+    :func:`_csv_lines`, each slice read as UTF-8 bytes.  When every label
+    fits in 8 bytes, each cell becomes one big-endian ``uint64`` key
+    (zero-padded, so key order is byte order, which is code-point order) and
+    the labels are the distinct keys, from one ``argsort``
+    (:func:`_key_cells`); otherwise the cells are split with ``str.split``
+    and take first-seen ids (:func:`_split_cells`).  Cells are stripped, as
+    :func:`_csv_reader_pairs` strips them: the distinct labels are stripped
+    and merged.
     """
-    limit = csv.field_size_limit()
-    pos = line = 0
-    while pos < len(text):
-        end = text.find("\n", pos + _CSV_SLICE - 1) + 1 or len(text)  # no \n: the rest
-        plain = _plain_cells(text[pos:end], limit)
-        if plain is None:
-            break
-        cells, width = plain
-        # a plain slice has no blank line, so slice 0 starts with the first row
-        start = width if pos == 0 and cells[0].casefold() == "source" else 0
-        yield from zip(cells[start::width], cells[start + 1 :: width])
-        pos, line = end, line + len(cells) // width
-    yield from _csv_reader_pairs(text[pos:], line, pos == 0)
-
-
-def _plain_cells(chunk: str, limit: int) -> tuple[list[str], int] | None:
-    """``chunk``'s stripped cells, row after row, and the row width; or None.
-
-    None unless ``csv.reader`` reads ``chunk`` as the same rows: no quote or
-    NUL, every ``\\r`` ends a ``\\r\\n``, every line holds 2 or 3 cells (the same
-    number), none of them blank once stripped or over ``limit`` characters.
-    """
-    if '"' in chunk or "\0" in chunk:
+    if '"' in text or "\0" in text:
         return None
-    if "\r" in chunk:
-        if chunk.count("\r") != chunk.count("\r\n"):
+    if "\r" in text and text.count("\r") != text.count("\r\n"):
+        return None
+    try:
+        plain = _key_cells(text) or _split_cells(text)
+    except UnicodeEncodeError:  # a lone surrogate
+        return None
+    if plain is None:
+        return None
+    ends, labels = plain
+    stripped = list(map(str.strip, labels))
+    if stripped == labels:
+        return ends, labels
+    if "" in stripped:  # a blank cell: csv.reader skips its row or names it
+        return None
+    merged: defaultdict[str, int] = defaultdict()
+    merged.default_factory = merged.__len__
+    to = np.fromiter(map(merged.__getitem__, stripped), np.intp, len(stripped))
+    return to[ends], list(merged)
+
+
+def _csv_slices(text: str) -> tuple[Iterator[str], int] | None:
+    """``(slices, rows)``: the data lines of ``text``; or None.
+
+    ``slices`` yields them a slice of whole lines at a time, with ``\\r\\n``
+    read as ``\\n``, after leading empty lines and a header; ``rows`` bounds
+    the number of data rows.  The first line is a header when its stripped
+    first cell is ``source``, in any case.  None if one of its cells is over
+    ``csv.field_size_limit()`` characters, as ``csv.reader`` refuses it.
+    """
+    start = 0
+    while text.startswith(("\n", "\r\n"), start):
+        start = text.index("\n", start) + 1
+    end = text.find("\n", start) + 1 or len(text)
+    cells = text[start:end].rstrip("\r\n").split(",")
+    if cells[0].strip().casefold() == "source":
+        if max(map(len, cells)) > csv.field_size_limit():
             return None
-        chunk = chunk.replace("\r\n", "\n")
-    lines = chunk.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the newline that ends the slice
-    commas = set(map(str.count, lines, repeat(",")))
-    if commas != {1} and commas != {2}:
-        return None
-    width = commas.pop() + 1
-    raw = ",".join(lines).split(",")
-    if len(chunk) > limit and max(map(len, raw)) > limit:
-        return None
-    cells = list(map(str.strip, raw))
-    if "" in cells:
-        return None
-    return cells, width
+        start = end
+    bounds = []
+    while start < len(text):
+        end = text.find("\n", start + _CSV_SLICE - 1) + 1 or len(text)  # no \n: the rest
+        bounds.append((start, end))
+        start = end
+    slices = (text[start:end].replace("\r\n", "\n") for start, end in bounds)
+    return slices, text.count("\n") + 1
 
 
-def _csv_reader_pairs(text: str, line: int, first_data_row: bool) -> Iterator[tuple[str, str]]:
-    """The pairs of ``text`` as ``csv.reader`` reads it.
+def _csv_lines(a: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The data rows of ``a``, whole lines of bytes; or None.
 
-    Error line numbers count on from ``line``, the lines before ``text``; the
-    header rule applies while ``first_data_row`` holds.
+    Returns ``(first, starts, lengths)``: each data row's index of its first
+    cell among the slice's cells split at every ``,`` and ``\\n``, and the
+    byte offsets and lengths of its two cells, shaped ``(rows, 2)``.  None
+    unless ``csv.reader`` reads these lines as the same rows: empty lines are
+    skipped, every other line holds 2 or 3 cells, neither of the first two
+    empty, and no cell is over ``limit`` bytes.  (Quotes, NUL and bare
+    ``\\r`` are ruled out on the whole text.)
     """
+    ends = np.flatnonzero(a == 10)
+    if len(a) and a[-1] != 10:
+        ends = np.append(ends, len(a))  # the last line has no \n
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    starts[1:] = ends[:-1] + 1
+    commas = np.flatnonzero(a == 44)
+    upto = np.searchsorted(commas, ends)  # commas before each line's end
+    before = np.empty_like(upto)  # and before its start
+    before[:1] = 0
+    before[1:] = upto[:-1]
+    first = before + np.arange(len(ends))  # one cell per comma and one per line
+    full = starts != ends
+    if not full.all():  # empty lines
+        ends, starts, upto, before, first = (x[full] for x in (ends, starts, upto, before, first))
+    count = upto - before
+    if not ((count == 1) | (count == 2)).all():
+        return None
+    lo = commas[before]  # each row's first comma
+    hi = np.where(count == 2, commas[upto - 1], ends)  # and the end of its second cell
+    cells = np.stack((starts, lo + 1), axis=1)
+    lengths = np.stack((lo - starts, hi - lo - 1), axis=1)
+    if len(ends) and (lengths.min() < 1 or max(lengths.max(), (ends - hi).max() - 1) > limit):
+        return None
+    return first, cells, lengths
+
+
+def _ids_dtype(rows: int) -> type:
+    """The integer type of label ids for up to ``rows`` rows: 32 bits while they fit."""
+    return np.int32 if 2 * rows < 2**31 else np.int64
+
+
+def _key_cells(text: str) -> tuple[np.ndarray, list[str]] | None:
+    """:func:`_plain_csv` by 8-byte keys; None if not plain or a label is longer."""
+    plain = _csv_slices(text)
+    if plain is None:
+        return None
+    slices, rows = plain
+    keys = np.empty((rows, 2), np.uint64)
+    row = 0
+    limit = csv.field_size_limit()
+    for chunk in slices:
+        # 8 zero bytes past the end, so every cell's 8-byte word lies in the slice
+        a = np.frombuffer(chunk.encode() + bytes(8), np.uint8)
+        lines = _csv_lines(a[:-8], limit)
+        if lines is None:
+            return None
+        _, cells, lengths = lines
+        if len(cells) and lengths.max() > 8:
+            return None
+        words = np.ndarray((len(a) - 7,), ">u8", a, 0, (1,))  # the 8 bytes at each offset
+        np.bitwise_and(words[cells], _WORD_MASK[lengths], out=keys[row : row + len(cells)])
+        row += len(cells)
+    keys = keys[:row].reshape(-1)
+    order = np.argsort(keys)
+    keys.sort()  # in place: a second sort costs less than a sorted copy
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    labels = keys[new].astype(">u8").view("S8").tolist()  # S8 drops the zero padding
+    del keys
+    ids = np.cumsum(new, dtype=_ids_dtype(rows))
+    ids -= 1
+    del new
+    ends = np.empty_like(ids)
+    ends[order] = ids
+    return ends.reshape(-1, 2), [v.decode() for v in labels]
+
+
+def _split_cells(text: str) -> tuple[np.ndarray, list[str]] | None:
+    """:func:`_plain_csv` by ``str.split`` and first-seen ids; None if not plain."""
+    plain = _csv_slices(text)
+    if plain is None:
+        return None
+    slices, rows = plain
+    ids: defaultdict[str, int] = defaultdict()
+    ids.default_factory = ids.__len__  # a new label takes the next id
+    ends = np.empty((rows, 2), _ids_dtype(rows))
+    row = 0
+    limit = csv.field_size_limit()
+    for chunk in slices:
+        lines = _csv_lines(np.frombuffer(chunk.encode(), np.uint8), limit)
+        if lines is None:
+            return None
+        first = lines[0]
+        cells = chunk.replace("\n", ",").split(",")
+        if len(first) and first[-1] != 2 * len(first) - 2:  # not all rows 2 cells, back to back
+            cells = map(cells.__getitem__, np.stack((first, first + 1), axis=1).ravel().tolist())
+        ends[row : row + len(first)].flat = np.fromiter(
+            map(ids.__getitem__, cells), ends.dtype, 2 * len(first)
+        )
+        row += len(first)
+    return ends[:row], list(ids)
+
+
+def _csv_reader_pairs(text: str) -> Iterator[tuple[str, str]]:
+    """The pairs of ``text`` as ``csv.reader`` reads it, checked row by row."""
     reader = csv.reader(io.StringIO(text, newline=""))  # \r, \n and \r\n end a line
+    first_data_row = True
     try:
         for row in reader:
-            at = line + reader.line_num
             cells = [c.strip() for c in row]
             if not any(cells):
                 continue
@@ -357,13 +510,13 @@ def _csv_reader_pairs(text: str, line: int, first_data_row: bool) -> Iterator[tu
                 if cells[0].casefold() == "source":
                     continue
             if len(cells) not in (2, 3):
-                raise ParseError(f"expected 2 or 3 columns, got {len(cells)}", at)
+                raise ParseError(f"expected 2 or 3 columns, got {len(cells)}", reader.line_num)
             s, t = cells[0], cells[1]
             if not s or not t:
-                raise ParseError("empty node label", at)
+                raise ParseError("empty node label", reader.line_num)
             yield s, t
     except csv.Error as e:  # e.g. a field over csv.field_size_limit()
-        raise ParseError(str(e), line + reader.line_num) from None
+        raise ParseError(str(e), reader.line_num) from None
 
 
 def _parse_json(text: str) -> DirectedGraph:

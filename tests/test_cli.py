@@ -108,14 +108,14 @@ def test_stats_malformed_row_mid_stream_names_its_line(tmp_path, capsys):
 
 
 def test_line_endings_and_quoting_do_not_change_output(tmp_path, monkeypatch, capsys):
-    # LF and CRLF copies are split by the str.split tokenizer (which takes
-    # \r\n as a line end), the all-quoted copy is read by csv.reader: the
-    # output must not tell them apart
+    # LF and CRLF copies are read by the whole-text tokenizer (which takes
+    # \r\n as a line end), the all-quoted copy by csv.reader: the output
+    # must not tell them apart
     handed = []  # characters each run leaves to csv.reader
 
-    def reader_pairs(text, line, first_data_row):
+    def reader_pairs(text):
         handed.append(len(text))
-        return csv_reader_pairs(text, line, first_data_row)
+        return csv_reader_pairs(text)
 
     csv_reader_pairs = graph._csv_reader_pairs
     monkeypatch.setattr(graph, "_csv_reader_pairs", reader_pairs)
@@ -134,7 +134,7 @@ def test_line_endings_and_quoting_do_not_change_output(tmp_path, monkeypatch, ca
             assert (code, err) == (0, "")
             outputs.append(out)
     assert outputs[0::2] == [outputs[0]] * 3 and outputs[1::2] == [outputs[1]] * 3
-    assert handed[:4] == [0] * 4 and min(handed[4:]) > len(lf)
+    assert handed == [len(copies["quoted.csv"])] * 2
 
 
 def test_quoted_carriage_return_survives_the_cli(tmp_path, capsys):

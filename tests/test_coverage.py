@@ -133,6 +133,23 @@ def test_greedy_stops_at_first_step_reaching_target():
         assert all(c < 0.7 for c in res.cumulative[:-1])
 
 
+def test_greedy_budget_stops_the_run_at_k_picks():
+    # a budget stops greedy at k picks or at the target, whichever comes
+    # first, with the picks of the run without one
+    rng = np.random.default_rng(13)
+    for _ in range(30):
+        g = mixed_digraph(rng, max_n=40)
+        full = greedy_select(g, 1.0)
+        for k in (1, 2, 5, g.n):
+            for target in (0.5, 1.0):
+                res = greedy_select(g, target, k)
+                expected = full.reaching(target).truncated(k)
+                assert (res.picks, res.cumulative) == (expected.picks, expected.cumulative)
+                assert res.target == target
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        greedy_select(star(3), 1.0, 0)
+
+
 def test_lazy_equals_naive_small_ensemble():
     rng = np.random.default_rng(12)
     for _ in range(40):

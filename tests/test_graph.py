@@ -104,10 +104,10 @@ def test_parse_unknown_format():
         parse_edge_list("a,b", fmt="tsv")
 
 
-def _outcome(pairs):
-    """The pairs a CSV pair stream yields, or the text of its ParseError."""
+def _outcome(fn, arg):
+    """``fn(arg)``, or the text of the ParseError it raises."""
     try:
-        return list(pairs)
+        return fn(arg)
     except ParseError as e:
         return str(e)
 
@@ -115,8 +115,24 @@ def _outcome(pairs):
 _CSV_TOKENS = [
     "a", "\u00e9", ",", "\n", "\r", "\r\n", '"', "\0", " ", "\t", "source", "Source,"
 ]
-#: one flaw a mostly clean row may carry, each sending its slice to csv.reader
+#: one flaw a mostly clean row may carry, each sending its text to csv.reader
+#: or (the long cell) off the 8-byte keys
 _ROW_FLAWS = ["", ",x", ",x,y", " , ", '"q"', "q\rq", "q\0", "\n", "\n\n", "x" * 12]
+
+#: texts the tokenizer must read itself: label order across UTF-8 lengths,
+#: labels of exactly 8 and 9 bytes, a label that is another's prefix, CRLF,
+#: a third column (on some rows only, too), padded cells, blank lines
+_PLAIN_CSV = [
+    "z,\u00e9\n\U0001f600,z\n\u00e9,\U0001f600\n",
+    "abcdefgh,abcdefghi\nabcdefgh,a\n",
+    "\u00e9\u00e9\u00e9\u00e9,\u00e9\u00e9\u00e9\u00e9a\n",
+    "a,ab\nab,a\nab,abc\n",
+    "a,b\r\nb,c\r\n\r\nc,a",
+    "source,target,weight\na,b,1\nb,c,2\n",
+    "a,b\nb,c,2\nc,a,\n",
+    "a, b\n b ,c\nc,a\n",
+    "\n\nsource,target\n\na,b\n\n",
+]
 
 
 def _random_csv_text(rng: np.random.Generator) -> str:
@@ -138,33 +154,49 @@ def _random_csv_text(rng: np.random.Generator) -> str:
 
 
 def test_csv_tokenizer_matches_csv_reader(monkeypatch):
-    # the str.split fast path must read every text exactly as the csv.reader
-    # loop run from line 0 does: the same pairs, or the same error on the same
-    # line; slices of 1-13 characters put slice boundaries everywhere
-    handed = []  # characters left to csv.reader in each case
+    # every text the whole-text tokenizer reads, it must read exactly as the
+    # csv.reader loop does: the same pairs, in row order, and no error where
+    # csv.reader raises one; every other text goes to that loop, so it gives
+    # the same pairs or the same error on the same line.  Slices of 1-13
+    # characters put slice boundaries everywhere.
+    split = []  # whether each text handed to the split path was read there
 
-    def reader_pairs(text, line, first_data_row):
-        handed.append(len(text))
-        return csv_reader_pairs(text, line, first_data_row)
+    def split_cells(text):
+        plain = split_cells_(text)
+        split.append(plain is not None)
+        return plain
 
-    csv_reader_pairs = graph._csv_reader_pairs
-    monkeypatch.setattr(graph, "_csv_reader_pairs", reader_pairs)
+    split_cells_ = graph._split_cells
+    monkeypatch.setattr(graph, "_split_cells", split_cells)
     rng = np.random.default_rng(2024)
     texts = ["c\ncSource,c,a", "a,b\r\nc,d\r", " a , b \n\nb,c\n", "source\na,b\n"]
-    texts += [_random_csv_text(rng) for _ in range(3000)]
+    texts += ["a,\ud800\nb,a\n"]  # a lone surrogate has no UTF-8 bytes
+    texts += _PLAIN_CSV + [_random_csv_text(rng) for _ in range(3000)]
     limit = csv.field_size_limit()
-    fast = mixed = 0
+    fast = fallback = 0
     try:
         for i, text in enumerate(texts):
             monkeypatch.setattr(graph, "_CSV_SLICE", int(rng.integers(1, 14)))
-            csv.field_size_limit(int(rng.integers(1, 9)) if i % 5 == 0 else limit)
-            expected = _outcome(csv_reader_pairs(text, 0, True))
-            assert _outcome(graph._csv_pairs(text)) == expected, repr(text)
-            fast += handed[-1] == 0 < len(text)
-            mixed += 0 < handed[-1] < len(text)
+            small = i % 5 == 0 and text not in _PLAIN_CSV
+            csv.field_size_limit(int(rng.integers(1, 9)) if small else limit)
+            expected = _outcome(list, graph._csv_reader_pairs(text))
+            plain = graph._plain_csv(text)
+            if plain is None:
+                assert text not in _PLAIN_CSV
+                fallback += 1
+            else:
+                ends, labels = plain
+                assert [(labels[s], labels[t]) for s, t in ends.tolist()] == expected, repr(text)
+                assert len(set(labels)) == len(labels)
+                fast += 1
+            if isinstance(expected, list):
+                expected = _outcome(DirectedGraph.from_edges, expected)
+            assert _outcome(parse_edge_list, text) == expected
     finally:
         csv.field_size_limit(limit)
-    assert fast > 300 and mixed > 300  # both paths and the hand-over ran
+    assert fast > 300 and fallback > 300  # both paths ran
+    assert sum(split) > 30  # and the tokenizer's split path
+    assert parse_edge_list(_PLAIN_CSV[0]).nodes == ("z", "\u00e9", "\U0001f600")
 
 
 # --- JSON parsing ---
@@ -272,6 +304,33 @@ def test_from_edges_matches_plain_reference():
         assert all(type(e) is tuple and len(e) == 2 for e in g.edges)
         assert g.ingest.self_loops == len(raw) - len(kept)
         assert g.ingest.duplicates == len(kept) - len(set(kept))
+        # the same edges as positions into the distinct labels, in any order
+        labels = [g.nodes[i] for i in rng.permutation(g.n)]
+        at = {v: i for i, v in enumerate(labels)}
+        ends = np.array([(at[s], at[t]) for s, t in raw], dtype=np.int32).reshape(-1, 2)
+        again = DirectedGraph.from_edges(ends, labels)
+        assert again == g and again.in_csr[1].tolist() == g.in_csr[1].tolist()
+        assert again.ingest == g.ingest
+
+
+_OUT_OF_RANGE = r"edge positions must lie in \[0, 2\)"
+_NOT_POSITIONS = r"edge positions must be an \(m, 2\) signed integer array"
+
+
+@pytest.mark.parametrize(
+    "ends, nodes, message",
+    [
+        (np.array([[0, 2]]), ["a", "b"], _OUT_OF_RANGE),
+        (np.array([[-1, 0]]), ["a", "b"], _OUT_OF_RANGE),
+        (np.array([0, 1]), ["a", "b"], _NOT_POSITIONS),
+        (np.array([[0.0, 1.0]]), ["a", "b"], _NOT_POSITIONS),
+        (np.array([[0, 1]]), ["a", "a"], "node labels given with edge positions must be distinct"),
+    ],
+    ids=["past-end", "negative", "flat", "float", "repeated-label"],
+)
+def test_from_edges_checks_edge_positions(ends, nodes, message):
+    with pytest.raises(ValueError, match=message):
+        DirectedGraph.from_edges(ends, nodes)
 
 
 def test_derived_edges_contract_on_mixed_graphs():
@@ -315,6 +374,21 @@ def test_parse_memory_is_integer_sized():
     assert g.m == 49_945
     assert retained < 64 * g.m
     assert peak < 160 * g.m
+
+
+def test_parse_peak_stays_near_the_graph_on_a_large_csv():
+    # the tokenizer works slice by slice and drops the bytes before it sorts
+    # the label keys: the whole-text version peaked at 78.8 bytes per edge
+    text = to_csv(gen_preferential(20000, 10, 1))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text, fmt="csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.m == 199_945
+    assert peak <= 64 * g.m
 
 
 def test_graph_is_immutable():
