@@ -15,19 +15,29 @@ The draw streams are part of the contract:
   uniform double against cumulative weights (in-degree + 1), with already
   chosen targets weighted 0.  The +1 keeps zero-in-degree nodes reachable.
   The target of a draw ``u`` is the first node whose cumulative weight
-  exceeds ``u * total``; it is found by descending a Fenwick tree over the
-  integer weights in O(log n) per draw, which picks exactly the node a
-  cumulative-sum search would, and a draw that rounds ``u * total`` up to
-  ``total`` picks the last node that still has weight.
+  exceeds ``u * total``, and a draw that rounds ``u * total`` up to
+  ``total`` picks the last node that still has weight.  The uniforms come
+  from one stream, drawn a fixed-size chunk at a time, so the stream is that
+  of one call per draw.  Each node's weight is a run of integer units: the
+  draw's unit ``floor(u * total)`` skips the runs of the targets already
+  chosen, and one Fenwick descent over the unit counts finds its owner in
+  O(log n), exactly the node a cumulative-sum search picks.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import insort
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
 from .graph import DirectedGraph
+
+#: Uniforms per ``rng.random`` call of the preferential-attachment draws: the
+#: stream is the same for any chunk size, and only one chunk is held.
+_DRAW_CHUNK = 4096
 
 
 def _labels(n: int) -> list[str]:
@@ -65,59 +75,82 @@ def gen_erdos_renyi(n: int, p: float, seed: int) -> DirectedGraph:
 def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
     """Sequential arrivals; new nodes point at in-degree-popular targets.
 
-    Targets are found by Fenwick descent over the integer weights
-    (in-degree + 1, or 0 while already chosen by the arriving node) in
-    O(log n) per draw.  The prefix sums are exact ints and Python compares an
-    int with a float exactly, so each draw ``u`` picks the first node whose
-    prefix sum exceeds ``u * total``: the draw stream and the graph are those
-    of a per-draw cumulative-sum search.
+    Node j owns ``weight[j]`` units, laid out in node order.  A draw ``u``
+    against the arriving node's eligible total ``t`` (its chosen targets left
+    out) picks unit ``k = floor(u * t)``, or ``t - 1`` at the rounding edge.
+    An integer prefix sum is <= ``u * t`` exactly when it is <= ``k``, so the
+    owner of unit k among the eligible units is the node a cumulative-sum
+    search picks.  ``k`` becomes a unit index among all units by skipping the
+    sorted ``(start, width)`` runs of the chosen targets, at most
+    ``edges_per_node`` of them, and one descent of the Fenwick tree over the
+    unit counts finds its owner in O(log n).  The tree is written once per
+    arrival and once per edge, after the arrival's draws.
     """
     labels = _labels(n)
     if edges_per_node < 1:
         raise ValueError(
             f"preferential_attachment needs edges_per_node >= 1, got {edges_per_node}"
         )
-    rng = _rng(seed)
+    ends = _attach(n, edges_per_node, _rng(seed))
+    return DirectedGraph.from_edges(np.frombuffer(ends, np.int64).reshape(-1, 2), labels)
+
+
+def _attach(n: int, edges_per_node: int, rng: np.random.Generator) -> array:
+    """:func:`gen_preferential`'s edges as ``tail, head, tail, ...`` node positions.
+
+    Its own frame, so the tree, the weights and the draw chunk are freed before
+    ``from_edges`` runs.
+    """
+    draws = _uniforms(rng)
     size = 1 << n.bit_length()  # a power of two > n: the descent needs no bound check
+    steps = [size >> b for b in range(1, n.bit_length() + 1)]
     tree = [0] * size  # 1-based Fenwick tree over weight
-    weight = [0] * n
-    total = 0
+    weight = [1] * n  # in-degree + 1
     ends = array("q")  # tail, head, tail, ...: node positions
 
-    def add(j: int, delta: int) -> None:
+    def add(j: int) -> None:  # one more unit for node j
         pos = j + 1
         while pos < size:
-            tree[pos] += delta
+            tree[pos] += 1
             pos += pos & -pos
 
+    total = 0
     for i in range(1, n):
-        add(i - 1, 1)  # node i - 1 arrives with weight 1
-        weight[i - 1] = 1
+        add(i - 1)  # node i - 1 arrives with weight 1
         total += 1
-        chosen: list[tuple[int, int]] = []
-        for u in rng.random(min(edges_per_node, i)).tolist():
-            r = u * total
-            if r >= total:  # the rounding edge: pick the last weighted node
-                r = total - 0.5
-            # the largest prefix <= r ends at j, so node j is the first whose
-            # prefix sum exceeds r
+        eligible = total
+        chosen: list[tuple[int, int]] = []  # the chosen targets' runs, by start
+        for u in islice(draws, min(edges_per_node, i)):
+            r = u * eligible
+            k = int(r) if r < eligible else eligible - 1
+            for start, width in chosen:  # unit k of the eligible ones, among all
+                if start > k:
+                    break
+                k += width
+            # the largest prefix <= k ends at j, so node j owns unit k
             j = acc = 0
-            step = size >> 1
-            while step:
+            for step in steps:
                 s = acc + tree[j + step]
-                if s <= r:
+                if s <= k:
                     j += step
                     acc = s
-                step >>= 1
             w = weight[j]
+            insort(chosen, (acc, w))
+            eligible -= w
             ends.append(i)
             ends.append(j)
-            chosen.append((j, w))
-            add(j, -w)
-            weight[j] = 0
-            total -= w
-        for j, w in chosen:  # each chosen target gained one in-edge
-            add(j, w + 1)
-            weight[j] = w + 1
-            total += w + 1
-    return DirectedGraph.from_edges(np.frombuffer(ends, np.int64).reshape(-1, 2), labels)
+        for j in ends[1 - 2 * len(chosen) :: 2]:  # each chosen target gained one in-edge
+            add(j)
+            weight[j] += 1
+        total += len(chosen)
+    return ends
+
+
+def _uniforms(rng: np.random.Generator) -> Iterator[float]:
+    """The uniforms of ``rng`` one by one, drawn ``_DRAW_CHUNK`` at a time.
+
+    A memoryview yields each as a float on demand, so a chunk is held as its
+    8-byte doubles, not as a list of float objects.
+    """
+    while True:
+        yield from memoryview(rng.random(_DRAW_CHUNK))

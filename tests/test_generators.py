@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from netcover import generators
 from netcover import (
     gen_erdos_renyi,
     gen_preferential,
@@ -126,6 +127,11 @@ def _dump(g):
     return to_json(g) + to_csv(g)
 
 
+#: (n, epn) whose draws cross one chunk of uniforms (mid-arrival, and with
+#: the last arrival's only draw) and two chunks
+_CHUNK_CROSSINGS = ((420, 10), (4098, 1), (300, 30))
+
+
 def test_pa_matches_cumsum_reference():
     # every pick of the Fenwick descent equals the per-draw cumsum search,
     # including epn >= n (every earlier node chosen) and the smallest graphs
@@ -134,6 +140,14 @@ def test_pa_matches_cumsum_reference():
             for seed in range(1, 6):
                 expected = _dump(cumsum_preferential(n, epn, seed))
                 assert _dump(gen_preferential(n, epn, seed)) == expected, (n, epn, seed)
+    # and across chunks of uniforms
+    draws = [sum(min(epn, i) for i in range(1, n)) for n, epn in _CHUNK_CROSSINGS]
+    chunk = generators._DRAW_CHUNK
+    assert [d // chunk for d in draws] == [1, 1, 2] and draws[1] == chunk + 1
+    for n, epn in _CHUNK_CROSSINGS:
+        for seed in range(1, 4):
+            expected = _dump(cumsum_preferential(n, epn, seed))
+            assert _dump(gen_preferential(n, epn, seed)) == expected, (n, epn, seed)
 
 
 class _DyadicDraws:
@@ -156,6 +170,10 @@ def test_pa_matches_cumsum_reference_on_boundary_draws(monkeypatch):
         for seed in range(1, 6):
             expected = _dump(cumsum_preferential(n, epn, seed))
             assert _dump(gen_preferential(n, epn, seed)) == expected, (n, epn, seed)
+    for n, epn in _CHUNK_CROSSINGS:
+        for seed in range(1, 4):
+            expected = _dump(cumsum_preferential(n, epn, seed))
+            assert _dump(gen_preferential(n, epn, seed)) == expected, (n, epn, seed)
 
 
 class _EdgeDraws:
@@ -176,6 +194,9 @@ def test_pa_draws_at_the_rounding_edge(monkeypatch):
         for epn in (1, 2, 3, 10):
             expected = _dump(cumsum_preferential(n, epn, 1))
             assert _dump(gen_preferential(n, epn, 1)) == expected, (n, epn)
+    for n, epn in _CHUNK_CROSSINGS:
+        expected = _dump(cumsum_preferential(n, epn, 1))
+        assert _dump(gen_preferential(n, epn, 1)) == expected, (n, epn)
 
 
 @pytest.mark.parametrize(
@@ -183,8 +204,10 @@ def test_pa_draws_at_the_rounding_edge(monkeypatch):
     [
         ((2000, 10, 3), "9c18c5a4c9229e2552d92de794f3d56c3c92f7000948cb409724f48582e2da59"),
         ((5000, 10, 1), "52a049c2237dfad1c18ce1813918b61b83a12c5ca7afb653460aa865708e9513"),
+        ((20000, 10, 1), "b09a1e48fb93028a442d9b6996d19b3c0987b5684c1f6c0723a331d468a4f3f6"),
     ],
 )
 def test_pa_large_graphs_keep_recorded_digest(args, digest):
-    # sha256 of to_json, recorded from the cumsum generator
+    # sha256 of to_json, recorded from the cumsum generator; PA(20000, 10, 1),
+    # the bulk-ingest benchmark's input, from the three-walk Fenwick generator
     assert hashlib.sha256(to_json(gen_preferential(*args)).encode()).hexdigest() == digest
