@@ -84,7 +84,9 @@ def gen_preferential(n: int, edges_per_node: int, seed: int) -> DirectedGraph:
     sorted ``(start, width)`` runs of the chosen targets, at most
     ``edges_per_node`` of them, and one descent of the Fenwick tree over the
     unit counts finds its owner in O(log n).  The tree is written once per
-    arrival and once per edge, after the arrival's draws.
+    arrival and once per edge, after the arrival's draws.  The skip and the
+    sorted insert cost O(edges_per_node) per draw, so an arrival costs
+    O(edges_per_node * (edges_per_node + log n)).
     """
     labels = _labels(n)
     if edges_per_node < 1:

@@ -31,12 +31,11 @@ none with :class:`ParseError`, so no analysis downstream checks for an empty
 graph.
 
 CSV text goes through one whole-text numpy tokenizer when ``csv.reader``
-would provably read it the same way: no NUL, no quote outside a header line
-(``"source","target"``, read by ``csv.reader`` on its own), no ``\\r``
-outside ``\\r\\n``, 2 or 3 cells on every line that is not empty, no empty
-first or second cell and no cell over ``csv.field_size_limit()``.  Any other
-text goes whole to ``csv.reader``, whose rows, errors and line numbers are
-the reference.
+would provably read it the same way: no quote or NUL, no ``\\r`` outside
+``\\r\\n``, 2 or 3 cells on every line that is not empty, no empty first or
+second cell and no cell over ``csv.field_size_limit()``.  Any other text
+goes whole to ``csv.reader``, whose rows, errors and line numbers are the
+reference.
 """
 
 from __future__ import annotations
@@ -332,22 +331,19 @@ def _plain_csv(text: str) -> tuple[np.ndarray, list[str]] | None:
     """``(ends, labels)``: each data row's two cells as positions into ``labels``; or None.
 
     None unless ``csv.reader`` provably reads ``text`` as the same rows: no
-    NUL, every ``\\r`` ends a ``\\r\\n``, no quote past a header
-    (:func:`_data_start`), and the data lines pass :func:`_csv_lines`, each
-    slice read as UTF-8 bytes.  When every label fits in 8 bytes, each cell
-    becomes one big-endian ``uint64`` key (zero-padded, so key order is byte
-    order, which is code-point order) and the labels are the distinct keys,
-    from one ``argsort`` (:func:`_key_cells`); otherwise the cells are split
-    with ``str.split`` and take first-seen ids (:func:`_split_cells`).  Cells
-    are stripped, as :func:`_csv_reader_pairs` strips them: the distinct
-    labels are stripped and merged.
+    quote or NUL, every ``\\r`` ends a ``\\r\\n``, and the lines pass
+    :func:`_csv_lines`, each slice read as UTF-8 bytes.  When every label
+    fits in 8 bytes, each cell becomes one big-endian ``uint64`` key
+    (zero-padded, so key order is byte order, which is code-point order) and
+    the labels are the distinct keys, from one ``argsort``
+    (:func:`_key_cells`); otherwise the cells are split with ``str.split``
+    and take first-seen ids (:func:`_split_cells`).  Cells are stripped, as
+    :func:`_csv_reader_pairs` strips them: the distinct labels are stripped
+    and merged.
     """
-    if "\0" in text:
+    if '"' in text or "\0" in text:
         return None
     if "\r" in text and text.count("\r") != text.count("\r\n"):
-        return None
-    start = _data_start(text)
-    if start is None or text.find('"', start) != -1:
         return None
     try:
         plain = _key_cells(text) or _split_cells(text)
@@ -367,43 +363,24 @@ def _plain_csv(text: str) -> tuple[np.ndarray, list[str]] | None:
     return to[ends], list(merged)
 
 
-def _data_start(text: str) -> int | None:
-    """The offset of the data lines of ``text``, past leading empty lines and a header; or None.
+def _csv_slices(text: str) -> tuple[Iterator[str], int] | None:
+    """``(slices, rows)``: the data lines of ``text``; or None.
 
-    The first line that is not empty is a header when its stripped first cell
-    is ``source``, in any case.  A first line with a quote is read by
-    ``csv.reader``, so a quoted header such as ``"source","target"`` is
-    skipped; None if that line is not such a header, or if csv.reader would
-    not end its row at the line's end (a quoted cell running on to the next
-    line) or refuses it.  None too if a header cell is over
-    ``csv.field_size_limit()`` characters, as csv.reader refuses it.
+    ``slices`` yields them a slice of whole lines at a time, with ``\\r\\n``
+    read as ``\\n``, after leading empty lines and a header; ``rows`` bounds
+    the number of data rows.  The first line is a header when its stripped
+    first cell is ``source``, in any case.  None if one of its cells is over
+    ``csv.field_size_limit()`` characters, as ``csv.reader`` refuses it.
     """
     start = 0
     while text.startswith(("\n", "\r\n"), start):
         start = text.index("\n", start) + 1
     end = text.find("\n", start) + 1 or len(text)
-    line = text[start:end]
-    if '"' in line:
-        try:  # strict: a quoted cell still open at the line's end is an error
-            cells = next(csv.reader([line], strict=True))
-        except csv.Error:
+    cells = text[start:end].rstrip("\r\n").split(",")
+    if cells[0].strip().casefold() == "source":
+        if max(map(len, cells)) > csv.field_size_limit():
             return None
-        return end if cells[0].strip().casefold() == "source" else None
-    cells = line.rstrip("\r\n").split(",")
-    if cells[0].strip().casefold() != "source":
-        return start
-    return end if max(map(len, cells)) <= csv.field_size_limit() else None
-
-
-def _csv_slices(text: str) -> tuple[Iterator[str], int] | None:
-    """``(slices, rows)``: the data lines of ``text``; or None, as :func:`_data_start`.
-
-    ``slices`` yields them a slice of whole lines at a time, with ``\\r\\n``
-    read as ``\\n``; ``rows`` bounds the number of data rows.
-    """
-    start = _data_start(text)
-    if start is None:
-        return None
+        start = end
     bounds = []
     while start < len(text):
         end = text.find("\n", start + _CSV_SLICE - 1) + 1 or len(text)  # no \n: the rest
@@ -421,8 +398,8 @@ def _csv_lines(a: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray, np.nd
     byte offsets and lengths of its two cells, shaped ``(rows, 2)``.  None
     unless ``csv.reader`` reads these lines as the same rows: empty lines are
     skipped, every other line holds 2 or 3 cells, neither of the first two
-    empty, and no cell is over ``limit`` bytes.  (NUL and bare ``\\r`` are
-    ruled out on the whole text, quotes on the data lines.)
+    empty, and no cell is over ``limit`` bytes.  (Quotes, NUL and bare
+    ``\\r`` are ruled out on the whole text.)
     """
     ends = np.flatnonzero(a == 10)
     if len(a) and a[-1] != 10:

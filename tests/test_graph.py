@@ -202,49 +202,6 @@ def test_csv_tokenizer_matches_csv_reader(monkeypatch):
 # --- JSON parsing ---
 
 
-def _reader_outcome(text):
-    """The graph the csv.reader loop builds from ``text``, or its ParseError text."""
-    return _outcome(lambda t: DirectedGraph.from_edges(graph._csv_reader_pairs(t)), text)
-
-
-@pytest.mark.parametrize("newline", ["\n", "\r\n"])
-@pytest.mark.parametrize("header", ['"source","target"', '"Source","target",w', 'source,"tar""get"'])
-def test_quoted_header_takes_the_tokenizer(header, newline):
-    # R's write.csv quotes the header alone; the data rows still go to the
-    # tokenizer, and give the graph and ingest report of the csv.reader loop
-    rows = to_csv(gen_preferential(300, 5, 1)).splitlines()
-    assert rows[0] == "source,target"
-    rows[0] = header
-    rows += [rows[1], "x,x"]  # a duplicate and a self-loop
-    text = newline + newline.join(rows) + newline
-    assert graph._plain_csv(text) is not None
-    g = parse_edge_list(text)
-    expected = _reader_outcome(text)
-    assert g == expected
-    assert g.ingest == expected.ingest == graph.IngestReport(duplicates=1, self_loops=1)
-
-
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        ('"source","target"\na,b\n"c",d\ne\n', 4),  # a quoted data cell
-        ('source,target\na,b\nc,"d"\ne\n', 4),
-        ('"a","b"\nc,d\ne\n', 3),  # a quoted first row that is not a header
-        ('"sou\nrce","target"\na,b\ne\n', 4),  # a header cell spanning lines
-        ('source,"tar\nget"\na,b\ne\n', 4),
-        ('source,"tar\na,b\nc,d\n', None),  # never closed: all one header cell
-        ('"source",target\nsource,target,w,v\n', 2),  # only the first row is a header
-        ('"source" ,target\na,b\ne\n', 3),  # strict csv refuses the header line
-    ],
-)
-def test_other_quoted_text_goes_to_csv_reader(text, line):
-    assert graph._plain_csv(text) is None
-    with pytest.raises(ParseError) as err:
-        parse_edge_list(text)
-    assert err.value.line == line
-    assert str(err.value) == _reader_outcome(text)
-
-
 def test_parse_json_isolated_node_retained():
     text = '{"nodes": ["a", "b", "c"], "edges": [["a", "b"]]}'
     g = parse_edge_list(text, fmt="json")
